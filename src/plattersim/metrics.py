@@ -12,10 +12,13 @@ device units:
   platter surfaces switched across, i.e. ``|Δplatter| + 1``.
 
 ``replay`` prices a visit sequence from a fixed start position and is the
-single pricing authority in this package: schedulers, the comparison
-report and the exhaustive oracle all sit on top of it.  Aggregates follow
-the usual naming — TSKT (total seek), TRL (total rotational latency),
-TDTT (total data transfer), TDAT (their sum) and ADAT (TDAT per request).
+single pricing authority: every scheduler, MODSBSM included, is priced by
+it, and the oracle and ``verify_trace`` use its one-step ``step_cost``.
+``via`` waypoints are edge tracks the arm passes between two visits (SCAN
+turning at the disk edge, C-SCAN's full-stroke return); seek includes them.
+Aggregates follow the usual naming — TSKT (total seek), TRL (total
+rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
+(TDAT per request).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .geometry import DiskGeometry, PhysicalAddress, validate
 
@@ -60,29 +63,48 @@ class ServiceStep:
         return self.seek + self.latency + self.transfer
 
 
+def step_cost(
+    prev: PhysicalAddress,
+    addr: PhysicalAddress,
+    sectors_per_track: int,
+    via: Sequence[int] = (),
+) -> tuple[int, int, int]:
+    """(seek, latency, transfer) from prev to addr, passing the ``via`` tracks.
+
+    Arguments are not checked; :func:`replay` validates each address once.
+    """
+    track = prev.track
+    seek = 0
+    for waypoint in via:
+        seek += abs(waypoint - track)
+        track = waypoint
+    return (
+        seek + abs(addr.track - track),
+        (addr.sector - prev.sector) % sectors_per_track,
+        abs(addr.platter - prev.platter) + 1,
+    )
+
+
 def replay(
     geometry: DiskGeometry,
     head: PhysicalAddress,
     visits: Iterable[PhysicalAddress],
+    via: Mapping[int, Sequence[int]] | None = None,
 ) -> list[ServiceStep]:
     """Price a visit sequence step by step from the given head position.
 
     The reference position for each step is the previously visited address
-    (the head starts at ``head``); seek is the direct track distance.
+    (the head starts at ``head``); ``via`` maps a 0-based visit position to
+    the waypoints the arm passes on its way to that visit.
     """
     validate(geometry, head)
+    sectors = geometry.sectors_per_track
+    via = via or {}
     steps: list[ServiceStep] = []
     pos = head
-    for addr in visits:
+    for k, addr in enumerate(visits):
         validate(geometry, addr)
-        steps.append(
-            ServiceStep(
-                address=addr,
-                seek=abs(addr.track - pos.track),
-                latency=rotational_delta(pos.sector, addr.sector, geometry.sectors_per_track),
-                transfer=transfer_cost(pos.platter, addr.platter),
-            )
-        )
+        steps.append(ServiceStep(addr, *step_cost(pos, addr, sectors, via.get(k, ()))))
         pos = addr
     return steps
 

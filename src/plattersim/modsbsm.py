@@ -14,6 +14,8 @@ max(track) − head (both signed), LD < RD picks the ascending sweep and
 RD < LD the descending one.  A tie resumes against the arm's recent
 movement — if it was last moving from high to low tracks the sweep goes
 ascending, otherwise descending; with no history it goes ascending.
+Directions are spelled ``"up"``/``"down"``, as elsewhere in the package.
+The passes record their visits; :func:`plattersim.metrics.replay` prices them.
 """
 
 from __future__ import annotations
@@ -23,17 +25,11 @@ from typing import Iterable, Protocol, Sequence
 
 from .faults import FaultModel, ProbeOutcome
 from .geometry import PhysicalAddress
-from .metrics import (
-    AccessTotals,
-    ServiceStep,
-    rotational_delta,
-    totals,
-    transfer_cost,
-)
+from .metrics import AccessTotals, ServiceStep, replay, totals
 from .workload import MemoryRequest, Scenario
 
-ASCENDING = "ascending"
-DESCENDING = "descending"
+ASCENDING = "up"
+DESCENDING = "down"
 
 TEMPORARY = "temporary"
 PERMANENT = "permanent"
@@ -62,7 +58,7 @@ def decide_direction(
         return DirectionDecision(to_min, to_max, ASCENDING, tie=False)
     if to_max < to_min:
         return DirectionDecision(to_min, to_max, DESCENDING, tie=False)
-    chosen = DESCENDING if last_move == "up" else ASCENDING
+    chosen = DESCENDING if last_move == ASCENDING else ASCENDING
     return DirectionDecision(to_min, to_max, chosen, tie=True)
 
 
@@ -99,14 +95,7 @@ class BadSectorEntry:
     finalized: int
 
 
-@dataclass(frozen=True)
-class ServeOutcome:
-    served: bool
-    probed: bool
-    bit: int | None
-
-
-def bsm(entry: BadSectorEntry, faults: FaultModel, op: str = "r") -> ServeOutcome:
+def bsm(entry: BadSectorEntry, faults: FaultModel) -> None:
     """Serve a tabled bad address, finalizing it on its third (last) probe.
 
     A finalized entry is answered straight from the table.  Otherwise the
@@ -115,14 +104,13 @@ def bsm(entry: BadSectorEntry, faults: FaultModel, op: str = "r") -> ServeOutcom
     finalized and reclassified as permanent.
     """
     if entry.finalized:
-        return ServeOutcome(served=True, probed=False, bit=entry.prescribed_bit)
+        return
     faults.access(entry.index)
     true_bit = faults.true_bit(entry.index)
     if entry.prescribed_bit != true_bit:
         entry.prescribed_bit = true_bit
     entry.finalized = 1
     entry.classification = PERMANENT
-    return ServeOutcome(served=True, probed=True, bit=entry.prescribed_bit)
 
 
 @dataclass(frozen=True)
@@ -153,12 +141,10 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
     if not scenario.requests:
         raise ValueError("scenario has no requests")
     faults = fault_model if fault_model is not None else FaultModel(scenario.faults)
-    geometry = scenario.geometry
     pos = scenario.initial_head
     bsi = {req.arrival_rank: req.bsi for req in scenario.requests}
     pending: list[MemoryRequest] = list(scenario.requests)
     table: dict[PhysicalAddress, BadSectorEntry] = {}
-    steps: list[ServiceStep] = []
     visits: list[PhysicalAddress] = []
     visit_ranks: list[int] = []
     served: list[int] = []
@@ -178,26 +164,16 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
             rank = req.arrival_rank
             entry = table.get(addr)
             if entry is not None and entry.finalized:
-                bsm(entry, faults, req.op)
+                bsm(entry, faults)
                 served.append(rank)
                 continue
-            steps.append(
-                ServiceStep(
-                    address=addr,
-                    seek=abs(addr.track - pos.track),
-                    latency=rotational_delta(
-                        pos.sector, addr.sector, geometry.sectors_per_track
-                    ),
-                    transfer=transfer_cost(pos.platter, addr.platter),
-                )
-            )
             visits.append(addr)
             visit_ranks.append(rank)
             if addr.track != pos.track:
-                last_move = "up" if addr.track > pos.track else "down"
+                last_move = ASCENDING if addr.track > pos.track else DESCENDING
             pos = addr
             if bsi[rank] >= 2:
-                bsm(table[addr], faults, req.op)
+                bsm(table[addr], faults)
                 served.append(rank)
             elif faults.access(addr) is ProbeOutcome.READABLE:
                 served.append(rank)
@@ -214,6 +190,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
                 carry.append(req)
         pending = carry
 
+    steps = replay(scenario.geometry, scenario.initial_head, visits)
     return RunResult(
         steps=tuple(steps),
         totals=totals(steps),

@@ -4,8 +4,9 @@
 the cheapest, so it is the ground truth any scheduler can be checked
 against — and also why it refuses queues longer than
 ``MAX_ORACLE_REQUESTS`` unless the caller raises the limit explicitly
-(nine requests already mean 362 880 full replays).  Faults are ignored:
-the oracle prices ideal fault-free service.
+(nine requests already mean 362 880 orders, each summed from a table of
+step costs priced once).  Faults are ignored: the oracle prices ideal
+fault-free service.
 
 ``verify_trace`` re-prices a recorded trace from scratch.  Latency and
 transfer are fully determined by consecutive positions and must match
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import GeometryBoundsError, validate
-from .metrics import AccessTotals, ServiceStep, replay, totals
+from .metrics import AccessTotals, ServiceStep, replay, step_cost, totals
 from .workload import Scenario
 
 MAX_ORACLE_REQUESTS = 9
@@ -49,25 +50,27 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Oracl
             f"{n} requests exceed the exhaustive-search cap of {limit}"
         )
     sectors = scenario.geometry.sectors_per_track
-    tracks = [req.address.track for req in scenario.requests]
-    plats = [req.address.platter for req in scenario.requests]
-    secs = [req.address.sector for req in scenario.requests]
     head = scenario.initial_head
+    targets = [req.address for req in scenario.requests]
+    # step[0][j] prices head -> request j, step[i + 1][j] request i -> request j
+    step = [
+        [sum(step_cost(prev, addr, sectors)) for addr in targets]
+        for prev in [head, *targets]
+    ]
 
     best_cost: int | None = None
     best_perm: tuple[int, ...] | None = None
     for perm in itertools.permutations(range(n)):
-        t, p, s = head.track, head.platter, head.sector
+        row = step[0]
         cost = 0
         for i in perm:
-            ti, pi, si = tracks[i], plats[i], secs[i]
-            cost += abs(ti - t) + ((si - s) % sectors) + abs(pi - p) + 1
-            t, p, s = ti, pi, si
+            cost += row[i]
+            row = step[i + 1]
         if best_cost is None or cost < best_cost or (cost == best_cost and perm < best_perm):
             best_cost = cost
             best_perm = perm
 
-    addresses = [scenario.requests[i].address for i in best_perm]
+    addresses = [targets[i] for i in best_perm]
     steps = replay(scenario.geometry, head, addresses)
     return OracleResult(order=best_perm, steps=tuple(steps), totals=totals(steps))
 
@@ -89,9 +92,9 @@ def verify_trace(
             violations.append(f"step {k}: address out of bounds ({exc})")
             pos = step.address
             continue
-        expected_latency = (step.address.sector - pos.sector) % sectors
-        expected_transfer = abs(step.address.platter - pos.platter) + 1
-        min_seek = abs(step.address.track - pos.track)
+        min_seek, expected_latency, expected_transfer = step_cost(
+            pos, step.address, sectors
+        )
         if not 0 <= step.latency < sectors:
             violations.append(
                 f"step {k}: latency {step.latency} outside 0..{sectors - 1}"

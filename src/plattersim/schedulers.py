@@ -1,12 +1,13 @@
 """Service-order policies for the classic and peer disk schedulers.
 
-Every policy emits an order over arrival ranks; pricing is
-:func:`plattersim.metrics.replay` plus, for the boundary-touching sweeps,
-the extra track distance the arm actually covers — SCAN turns at the
-physical edge of the disk and C-SCAN additionally rides the full-stroke
-return (``num_tracks - 1``) before continuing in its original direction.
-LOOK and C-LOOK reverse (or jump) at the extreme request, so the direct
-replay distance already prices them.
+Every policy is a plan: an order over arrival ranks plus the head path,
+``via``, which maps a visit position to the edge tracks the arm passes
+on its way there.  Pricing is :func:`plattersim.metrics.replay` of the
+planned visits through those waypoints.  SCAN turns at the physical edge
+of the disk and C-SCAN additionally rides the full-stroke return
+(``num_tracks - 1``) before continuing in its original direction; LOOK
+and C-LOOK reverse (or jump) at the extreme request, so their plans name
+no waypoints.
 
 Same-track requests follow the queue convention described in
 :mod:`plattersim.workload`: the pending queue is a track-sorted list kept
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace as dc_replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import modsbsm
 from .faults import FaultModel, ProbeOutcome
@@ -46,6 +47,10 @@ ALGORITHM_NAMES = BASELINE_NAMES + ("modsbsm",)
 
 DEFAULT_SWEEP_DIRECTION = "down"
 DEFAULT_RETRY_LIMIT = 3
+
+# A visit order over arrival ranks, and the head path's waypoints keyed by
+# visit position (see metrics.replay).
+Plan = tuple[list[int], dict[int, tuple[int, ...]]]
 
 
 def _groups(scenario: Scenario) -> list[tuple[int, list[int]]]:
@@ -64,11 +69,11 @@ def _serve(ranks: Sequence[int], moving_up: bool, queue_ascending: bool) -> list
     return list(reversed(ranks))
 
 
-def _fcfs_plan(scenario: Scenario) -> tuple[list[int], dict[int, int]]:
+def _fcfs_plan(scenario: Scenario) -> Plan:
     return list(range(len(scenario.requests))), {}
 
 
-def _sstf_plan(scenario: Scenario) -> tuple[list[int], dict[int, int]]:
+def _sstf_plan(scenario: Scenario) -> Plan:
     qa = scenario.queue_ascending
     remaining = dict(_groups(scenario))
     order: list[int] = []
@@ -84,9 +89,7 @@ def _sstf_plan(scenario: Scenario) -> tuple[list[int], dict[int, int]]:
     return order, {}
 
 
-def _sweep_plan(
-    scenario: Scenario, variant: str, direction: str
-) -> tuple[list[int], dict[int, int]]:
+def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
     groups = _groups(scenario)
     qa = scenario.queue_ascending
     head_track = scenario.initial_head.track
@@ -113,55 +116,56 @@ def _sweep_plan(
     for _, ranks in second:
         order.extend(_serve(ranks, second_moving, qa))
 
-    overrides: dict[int, int] = {}
+    via: dict[int, tuple[int, ...]] = {}
     if second and variant in ("scan", "cscan"):
-        last_track = first[-1][0] if first else head_track
-        next_track = second[0][0]
-        if variant == "scan":
-            seek = (
-                last_track + next_track
-                if down
-                else (top - last_track) + (top - next_track)
-            )
-        else:
-            seek = (
-                last_track + top + (top - next_track)
-                if down
-                else (top - last_track) + top + next_track
-            )
-        overrides[boundary_at] = seek
-    return order, overrides
+        edge, far_edge = (0, top) if down else (top, 0)
+        via[boundary_at] = (edge,) if variant == "scan" else (edge, far_edge)
+    return order, via
 
 
-def _nearer_extreme_direction(scenario: Scenario) -> str:
+def _odsa_plan(scenario: Scenario) -> Plan:
     tracks = scenario.tracks
     head_track = scenario.initial_head.track
     to_min = head_track - min(tracks)
     to_max = max(tracks) - head_track
-    if to_max < to_min:
-        return "up"
-    return "down"  # includes the tie
+    # toward the nearer extreme; a tie goes down
+    return _sweep_plan(scenario, "look", "up" if to_max < to_min else "down")
 
 
-def _mrsa_plan(scenario: Scenario) -> tuple[list[int], dict[int, int]]:
+def _mrsa_plan(scenario: Scenario) -> Plan:
     tracks = sorted(scenario.tracks)
     n = len(tracks)
     low, high = tracks[(n - 1) // 2], tracks[n // 2]
     if low <= scenario.initial_head.track <= high:
         return _sstf_plan(scenario)
-    return _sweep_plan(scenario, "look", _nearer_extreme_direction(scenario))
+    return _odsa_plan(scenario)
 
 
-def _smcc_direction(scenario: Scenario) -> str:
+def _smcc_plan(scenario: Scenario) -> Plan:
     tracks = scenario.tracks
     midpoint = (min(tracks) + max(tracks)) / 2
-    return "down" if scenario.initial_head.track < midpoint else "up"
+    direction = "down" if scenario.initial_head.track < midpoint else "up"
+    return _sweep_plan(scenario, "look", direction)
 
 
-def _rp10_direction(scenario: Scenario) -> str:
+def _rp10_plan(scenario: Scenario) -> Plan:
     tracks = scenario.tracks
     span = max(tracks) - min(tracks)
-    return "down" if scenario.initial_head.track >= span else "up"
+    direction = "down" if scenario.initial_head.track >= span else "up"
+    return _sweep_plan(scenario, "look", direction)
+
+
+# Plans of the baselines that pick their own direction; the four sweeps
+# take theirs from the caller (see _plan).
+PLANS: dict[str, Callable[[Scenario], Plan]] = {
+    "fcfs": _fcfs_plan,
+    "sstf": _sstf_plan,
+    "odsa": _odsa_plan,
+    "hdsa": _odsa_plan,  # alias: hdsa runs the same policy as odsa
+    "rp10": _rp10_plan,
+    "smcc": _smcc_plan,
+    "mrsa": _mrsa_plan,
+}
 
 
 def resolve_direction(
@@ -187,7 +191,7 @@ def _plan(
     algorithm: str,
     direction: str | None,
     use_hints: bool,
-) -> tuple[list[int], dict[int, int]]:
+) -> Plan:
     if not scenario.requests:
         raise ValueError("scenario has no requests")
     if algorithm in SWEEP_NAMES:
@@ -195,19 +199,9 @@ def _plan(
         return _sweep_plan(scenario, algorithm, resolved)
     if direction is not None:
         raise ValueError(f"direction only applies to {', '.join(SWEEP_NAMES)}")
-    if algorithm == "fcfs":
-        return _fcfs_plan(scenario)
-    if algorithm == "sstf":
-        return _sstf_plan(scenario)
-    if algorithm in ("odsa", "hdsa"):
-        return _sweep_plan(scenario, "look", _nearer_extreme_direction(scenario))
-    if algorithm == "smcc":
-        return _sweep_plan(scenario, "look", _smcc_direction(scenario))
-    if algorithm == "rp10":
-        return _sweep_plan(scenario, "look", _rp10_direction(scenario))
-    if algorithm == "mrsa":
-        return _mrsa_plan(scenario)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in PLANS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return PLANS[algorithm](scenario)
 
 
 def service_order(
@@ -285,10 +279,11 @@ def run_scheduler(
 ) -> SchedulerRun:
     """Plan and price one scheduler over one scenario.
 
-    Fault-free baselines are priced by replay plus the sweep boundary
-    extras; on a faulty scenario the baselines fall back to the
-    retry-at-tail policy with direct-travel pricing, while ``modsbsm``
-    runs its own multi-pass engine.
+    Baselines replay their planned visits through the plan's head path.
+    On a faulty scenario they drive the plan with the retry-at-tail
+    policy; retries follow the whole planned order, so the plan's
+    waypoints keep their visit positions.  ``modsbsm`` runs its own
+    multi-pass engine.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -306,37 +301,21 @@ def run_scheduler(
             bad_sector_table=result.bad_sector_table,
         )
 
-    order, overrides = _plan(scenario, algorithm, direction, use_hints)
-    geometry = scenario.geometry
-    head = scenario.initial_head
+    order, via = _plan(scenario, algorithm, direction, use_hints)
+    visit_ranks, abandoned, note = order, [], ""
     if scenario.faults:
+        # Clean runs skip retry_at_tail, which would hash every visit.
         fault_model = FaultModel(scenario.faults)
         visit_ranks, _, abandoned = retry_at_tail(order, scenario, fault_model, retry_limit)
-        addresses = [scenario.requests[rank].address for rank in visit_ranks]
-        steps = replay(geometry, head, addresses)
-        return SchedulerRun(
-            algorithm=algorithm,
-            order=tuple(order),
-            visits=tuple(addresses),
-            steps=tuple(steps),
-            totals=totals(steps),
-            abandoned=tuple(abandoned),
-            note="failed visits retried at queue tail; travel priced direct",
-        )
-
-    addresses = [scenario.requests[rank].address for rank in order]
-    steps = replay(geometry, head, addresses)
-    for position, seek in overrides.items():
-        steps[position] = ServiceStep(
-            address=steps[position].address,
-            seek=seek,
-            latency=steps[position].latency,
-            transfer=steps[position].transfer,
-        )
+        note = "failed visits retried at queue tail"
+    addresses = [scenario.requests[rank].address for rank in visit_ranks]
+    steps = replay(scenario.geometry, scenario.initial_head, addresses, via)
     return SchedulerRun(
         algorithm=algorithm,
         order=tuple(order),
         visits=tuple(addresses),
         steps=tuple(steps),
         totals=totals(steps),
+        abandoned=tuple(abandoned),
+        note=note,
     )

@@ -157,9 +157,9 @@ def test_bsm_serves_finalized_entries_without_probing():
     entry = BadSectorEntry(
         index=address, bsi=2, classification="permanent", prescribed_bit=1, finalized=1
     )
-    outcome = bsm(entry, faults)
-    assert outcome.served and not outcome.probed
-    assert outcome.bit == 1
+    bsm(entry, faults)
+    assert entry.finalized == 1 and entry.classification == "permanent"
+    assert entry.prescribed_bit == 1
     assert faults.probe_count(address) == 0
 
 
@@ -169,8 +169,8 @@ def test_bsm_finalizes_on_first_call_when_unfinalized():
     entry = BadSectorEntry(
         index=address, bsi=2, classification="temporary", prescribed_bit=1, finalized=0
     )
-    outcome = bsm(entry, faults)
-    assert outcome.served and outcome.probed
+    bsm(entry, faults)
+    assert entry.finalized == 1
     assert entry.prescribed_bit == 0  # inverted to match the platter
     assert entry.classification == "permanent"
     assert faults.probe_count(address) == 1

@@ -142,3 +142,15 @@ def test_verify_trace_flags_out_of_bounds_address():
     rogue = [ServiceStep(PhysicalAddress(500, 1, 1), 450, 1, 1)]
     problems = verify_trace(sc, rogue)
     assert any("out of bounds" in p for p in problems)
+
+
+def test_verify_trace_prices_the_step_after_a_rogue_address_from_it():
+    sc = _scenario((50, 1, 0), [(52, 1, 1)])
+    rogue = PhysicalAddress(500, 1, 1)
+    trace = [
+        ServiceStep(rogue, 450, 1, 1),
+        ServiceStep(PhysicalAddress(52, 1, 1), 448, 0, 1),  # priced from 500t1p1s
+    ]
+    problems = verify_trace(sc, trace)
+    assert len(problems) == 1
+    assert "step 1: address out of bounds" in problems[0]

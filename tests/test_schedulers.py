@@ -10,6 +10,7 @@ import pytest
 
 from plattersim.geometry import DiskGeometry, PhysicalAddress
 from plattersim.faults import FaultModel, FaultSpec
+from plattersim.oracle import verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
     BASELINE_NAMES,
@@ -253,6 +254,21 @@ def test_faulty_baseline_run_prices_every_probe():
     assert run.abandoned == (5,)
     assert run.totals.request_count == 22
     assert "retried at queue tail" in run.note
+
+
+def test_faulty_sweeps_price_their_edge_travel():
+    # One bad sector must not drop SCAN's trip to the edge or C-SCAN's
+    # full-stroke return: the plan's waypoints keep their visit positions.
+    sc = generate(DiskGeometry(4, 200, 8),
+                  GeneratorParams(request_count=12, seed=5, bad_count=1))
+    runs = {name: run_scheduler(sc, name) for name in ("scan", "look", "cscan", "clook")}
+    assert {name: run.totals.tskt for name, run in runs.items()} == {
+        "scan": 403, "look": 389, "cscan": 405, "clook": 389,
+    }
+    assert runs["scan"].totals.tskt > runs["look"].totals.tskt
+    assert runs["cscan"].totals.tskt > runs["clook"].totals.tskt
+    for run in runs.values():
+        assert verify_trace(sc, run.steps, run.totals) == []
 
 
 def test_baseline_names_cover_the_eleven():
