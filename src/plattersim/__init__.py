@@ -62,7 +62,6 @@ from .schedulers import (
     SchedulerRun,
     retry_at_tail,
     run_scheduler,
-    service_order,
 )
 from .workload import (
     BUILTIN_CASE_IDS,
@@ -129,7 +128,6 @@ __all__ = [
     "rotational_delta",
     "run_scheduler",
     "savings_report",
-    "service_order",
     "totals",
     "totals_csv",
     "trace_csv",

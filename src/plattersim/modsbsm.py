@@ -3,11 +3,14 @@
 The scheduler sorts the pending queue by track, jumps to whichever extreme
 track is closer (no service on the way there), then sweeps once across the
 span servicing whole cylinders.  Unreadable sectors are not retried in
-place: the request is carried to the next pass, and after a second failed
-probe the address enters a prescribed-bit table.  The third visit resolves
-it — one last probe fixes the stored bit, the entry is finalized, and any
-later read of that address is answered from the table without touching the
-platter.  No bad address is ever probed more than three times.
+place: the request is carried to the next pass.  Failures count per
+address, not per request, so after the address's second failed probe it
+enters a prescribed-bit table.  The next request to reach the address
+resolves it — one last probe fixes the stored bit and the entry is
+finalized — and every later request to it is answered from the table
+without touching the platter.  No bad address is ever probed more than
+``PROBE_LIMIT`` (three) times; when the queue repeats an address, all three
+probes can fall in one pass.
 
 Direction choice per pass: with LD = head − min(track) and RD =
 max(track) − head (both signed), LD < RD picks the ascending sweep and
@@ -21,7 +24,7 @@ The passes record their visits; :func:`plattersim.metrics.replay` prices them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import ClassVar, Iterable, Protocol, Sequence
 
 from .faults import FaultModel, ProbeOutcome
 from .geometry import PhysicalAddress
@@ -31,8 +34,7 @@ from .workload import MemoryRequest, Scenario
 ASCENDING = "up"
 DESCENDING = "down"
 
-TEMPORARY = "temporary"
-PERMANENT = "permanent"
+PROBE_LIMIT = 3  # physical probes of one bad address, at most
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,20 @@ def arrange(requests: Sequence[_Addressed], direction: str) -> list:
 
 @dataclass
 class BadSectorEntry:
-    """Lifecycle record for one address that failed two probes."""
+    """Lifecycle record for one address that failed two probes.
+
+    ``bsi`` (the failures that tabled it) is always 2, and the entry is
+    ``temporary`` until its last probe finalizes it as ``permanent``.
+    """
 
     index: PhysicalAddress
-    bsi: int
-    classification: str
     prescribed_bit: int
     finalized: int
+    bsi: ClassVar[int] = 2
+
+    @property
+    def classification(self) -> str:
+        return "permanent" if self.finalized else "temporary"
 
 
 def bsm(entry: BadSectorEntry, faults: FaultModel) -> None:
@@ -101,16 +110,13 @@ def bsm(entry: BadSectorEntry, faults: FaultModel) -> None:
     A finalized entry is answered straight from the table.  Otherwise the
     address is probed once more; if the prescribed bit disagrees with the
     sector's true content it is corrected, and either way the entry is
-    finalized and reclassified as permanent.
+    finalized.
     """
     if entry.finalized:
         return
     faults.access(entry.index)
-    true_bit = faults.true_bit(entry.index)
-    if entry.prescribed_bit != true_bit:
-        entry.prescribed_bit = true_bit
+    entry.prescribed_bit = faults.true_bit(entry.index)
     entry.finalized = 1
-    entry.classification = PERMANENT
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,6 @@ class RunResult:
     totals: AccessTotals
     order: tuple[int, ...]
     visits: tuple[PhysicalAddress, ...]
-    visit_ranks: tuple[int, ...]
     passes: int
     decisions: tuple[DirectionDecision, ...]
     bad_sector_table: tuple[BadSectorEntry, ...]
@@ -142,11 +147,10 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
         raise ValueError("scenario has no requests")
     faults = fault_model if fault_model is not None else FaultModel(scenario.faults)
     pos = scenario.initial_head
-    bsi = {req.arrival_rank: req.bsi for req in scenario.requests}
     pending: list[MemoryRequest] = list(scenario.requests)
+    failed_once: set[PhysicalAddress] = set()
     table: dict[PhysicalAddress, BadSectorEntry] = {}
     visits: list[PhysicalAddress] = []
-    visit_ranks: list[int] = []
     served: list[int] = []
     decisions: list[DirectionDecision] = []
     last_move: str | None = None
@@ -161,33 +165,23 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
         carry: list[MemoryRequest] = []
         for req in arrange(pending, decision.chosen):
             addr = req.address
-            rank = req.arrival_rank
             entry = table.get(addr)
             if entry is not None and entry.finalized:
-                bsm(entry, faults)
-                served.append(rank)
+                served.append(req.arrival_rank)
                 continue
             visits.append(addr)
-            visit_ranks.append(rank)
             if addr.track != pos.track:
                 last_move = ASCENDING if addr.track > pos.track else DESCENDING
             pos = addr
-            if bsi[rank] >= 2:
-                bsm(table[addr], faults)
-                served.append(rank)
-            elif faults.access(addr) is ProbeOutcome.READABLE:
-                served.append(rank)
-            else:
-                bsi[rank] += 1
-                if bsi[rank] == 2 and addr not in table:
-                    table[addr] = BadSectorEntry(
-                        index=addr,
-                        bsi=2,
-                        classification=TEMPORARY,
-                        prescribed_bit=0,
-                        finalized=0,
-                    )
+            if entry is not None:
+                bsm(entry, faults)
+            elif faults.access(addr) is ProbeOutcome.UNREADABLE:
+                if addr in failed_once:
+                    table[addr] = BadSectorEntry(index=addr, prescribed_bit=0, finalized=0)
+                failed_once.add(addr)
                 carry.append(req)
+                continue
+            served.append(req.arrival_rank)
         pending = carry
 
     steps = replay(scenario.geometry, scenario.initial_head, visits)
@@ -196,7 +190,6 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
         totals=totals(steps),
         order=tuple(served),
         visits=tuple(visits),
-        visit_ranks=tuple(visit_ranks),
         passes=passes,
         decisions=tuple(decisions),
         bad_sector_table=tuple(table.values()),

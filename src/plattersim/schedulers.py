@@ -32,7 +32,7 @@ direction is picked:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import modsbsm
@@ -204,20 +204,6 @@ def _plan(
     return PLANS[algorithm](scenario)
 
 
-def service_order(
-    scenario: Scenario,
-    algorithm: str,
-    *,
-    direction: str | None = None,
-    use_hints: bool = False,
-) -> list[int]:
-    """Planned fault-free service order (arrival ranks) for any algorithm."""
-    if algorithm == "modsbsm":
-        clean = dc_replace(scenario, faults=())
-        return list(modsbsm.execute(clean).order)
-    return _plan(scenario, algorithm, direction, use_hints)[0]
-
-
 def retry_at_tail(
     order: Sequence[int],
     scenario: Scenario,
@@ -275,7 +261,6 @@ def run_scheduler(
     *,
     direction: str | None = None,
     use_hints: bool = False,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
 ) -> SchedulerRun:
     """Plan and price one scheduler over one scenario.
 
@@ -306,7 +291,7 @@ def run_scheduler(
     if scenario.faults:
         # Clean runs skip retry_at_tail, which would hash every visit.
         fault_model = FaultModel(scenario.faults)
-        visit_ranks, _, abandoned = retry_at_tail(order, scenario, fault_model, retry_limit)
+        visit_ranks, _, abandoned = retry_at_tail(order, scenario, fault_model)
         note = "failed visits retried at queue tail"
     addresses = [scenario.requests[rank].address for rank in visit_ranks]
     steps = replay(scenario.geometry, scenario.initial_head, addresses, via)

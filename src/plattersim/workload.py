@@ -59,20 +59,17 @@ class ScenarioError(ValueError):
 class MemoryRequest:
     """One queued access: an address, read/write, and its place in the queue.
 
-    ``bsi`` is the bad-sector indicator maintained by the scheduler: 0 until
-    a probe fails, then counts failures up to 2.
+    Bad-sector state is not kept here: MODSBSM counts failed probes per
+    address (see :mod:`plattersim.modsbsm`).
     """
 
     address: PhysicalAddress
     op: str = "r"
-    bsi: int = 0
     arrival_rank: int = 0
 
     def __post_init__(self):
         if self.op not in OPS:
             raise ValueError(f"op must be one of {OPS}, got {self.op!r}")
-        if self.bsi not in (0, 1, 2):
-            raise ValueError(f"bsi must be 0, 1 or 2, got {self.bsi}")
         if self.arrival_rank < 0:
             raise ValueError("arrival_rank must be >= 0")
 

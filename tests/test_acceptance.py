@@ -15,7 +15,7 @@ from plattersim.metrics import energy_saved, rotational_delta
 from plattersim.modsbsm import execute
 from plattersim.oracle import optimal_order, verify_trace
 from plattersim.report import compare_builtin_suite, compare_scenario
-from plattersim.schedulers import ALGORITHM_NAMES, run_scheduler, service_order
+from plattersim.schedulers import ALGORITHM_NAMES, run_scheduler
 from plattersim.workload import GeneratorParams, builtin_case, generate
 from plattersim.geometry import DiskGeometry
 

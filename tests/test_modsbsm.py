@@ -7,9 +7,11 @@ import pytest
 from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.metrics import replay, totals
+from plattersim.oracle import verify_trace
 from plattersim.modsbsm import (
     ASCENDING,
     DESCENDING,
+    PROBE_LIMIT,
     BadSectorEntry,
     arrange,
     bsm,
@@ -154,9 +156,7 @@ def test_prescribed_bit_kept_when_it_already_matches():
 def test_bsm_serves_finalized_entries_without_probing():
     address = PhysicalAddress(5, 1, 1)
     faults = FaultModel([FaultSpec(address, 1)])
-    entry = BadSectorEntry(
-        index=address, bsi=2, classification="permanent", prescribed_bit=1, finalized=1
-    )
+    entry = BadSectorEntry(index=address, prescribed_bit=1, finalized=1)
     bsm(entry, faults)
     assert entry.finalized == 1 and entry.classification == "permanent"
     assert entry.prescribed_bit == 1
@@ -166,9 +166,7 @@ def test_bsm_serves_finalized_entries_without_probing():
 def test_bsm_finalizes_on_first_call_when_unfinalized():
     address = PhysicalAddress(5, 1, 1)
     faults = FaultModel([FaultSpec(address, 0)])
-    entry = BadSectorEntry(
-        index=address, bsi=2, classification="temporary", prescribed_bit=1, finalized=0
-    )
+    entry = BadSectorEntry(index=address, prescribed_bit=1, finalized=0)
     bsm(entry, faults)
     assert entry.finalized == 1
     assert entry.prescribed_bit == 0  # inverted to match the platter
@@ -192,6 +190,48 @@ def test_multiple_bad_sectors_resolve_independently():
     assert {e.index for e in result.bad_sector_table} == {bad_a, bad_b}
     assert all(e.finalized for e in result.bad_sector_table)
     assert sorted(result.order) == list(range(20))
+
+
+def _faulty(head, triples, bad):
+    return Scenario(
+        geometry=DiskGeometry(4, 200, 8),
+        initial_head=PhysicalAddress(*head),
+        requests=_reqs(triples),
+        faults=tuple(FaultSpec(PhysicalAddress(*t), 1) for t in bad),
+    )
+
+
+def test_repeated_bad_address_is_probed_three_times_in_all():
+    # Failures count per address: the first request fails, the second fails
+    # and tables the address, the third finalizes it in the same pass; the
+    # first two are answered from the table on pass 2.
+    sc = _faulty((10, 1, 0), [(50, 1, 3)] * 3, bad=[(50, 1, 3)])
+    fault_model = FaultModel(sc.faults)
+    result = execute(sc, fault_model)
+    assert fault_model.probe_count(PhysicalAddress(50, 1, 3)) == PROBE_LIMIT == 3
+    assert result.passes == 2
+    assert len(result.steps) == 3
+    assert sorted(result.order) == [0, 1, 2]
+    assert [e.classification for e in result.bad_sector_table] == ["permanent"]
+    assert verify_trace(sc, result.steps, result.totals) == []
+
+
+def test_table_answers_keep_a_step_per_request_trace_clean():
+    # Five requests to one bad address and one to another, plus two clean
+    # ones: 3 + 3 + 2 visits make exactly one step per request, but the
+    # trace is not a permutation of the queue, and need not be.
+    sc = _faulty(
+        (10, 1, 0),
+        [(50, 1, 3)] * 5 + [(70, 2, 1), (30, 1, 5), (90, 1, 0)],
+        bad=[(50, 1, 3), (70, 2, 1)],
+    )
+    fault_model = FaultModel(sc.faults)
+    result = execute(sc, fault_model)
+    assert len(result.steps) == len(sc.requests) == 8
+    assert fault_model.probe_count(PhysicalAddress(50, 1, 3)) == 3
+    assert fault_model.probe_count(PhysicalAddress(70, 2, 1)) == 3
+    assert sorted(result.order) == list(range(8))
+    assert verify_trace(sc, result.steps, result.totals) == []
 
 
 def test_head_state_persists_across_passes():

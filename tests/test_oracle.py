@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from plattersim.faults import FaultSpec
 from plattersim.geometry import DiskGeometry, PhysicalAddress
 from plattersim.metrics import ServiceStep, replay, totals
 from plattersim.oracle import (
@@ -124,6 +125,24 @@ def test_verify_trace_flags_missing_and_foreign_visits():
                      [PhysicalAddress(52, 1, 1), PhysicalAddress(1, 1, 1)])
     problems = verify_trace(sc, foreign)
     assert any("not a permutation" in p for p in problems)
+
+
+def test_verify_trace_still_wants_probe_limit_visits_of_a_bad_address():
+    # Requested 5 times, a bad address may be answered from the table after
+    # its third visit, but two visits are too few.
+    bad = PhysicalAddress(52, 1, 1)
+    sc = Scenario(
+        geometry=DiskGeometry(4, 200, 8),
+        initial_head=PhysicalAddress(50, 1, 0),
+        requests=tuple(MemoryRequest(address=bad, arrival_rank=i) for i in range(5)),
+        faults=(FaultSpec(bad, 0),),
+    )
+    twice = replay(sc.geometry, sc.initial_head, [bad, bad])
+    assert verify_trace(sc, twice) == [
+        f"coverage: {bad} requested 5 times, visited 2"
+    ]
+    thrice = replay(sc.geometry, sc.initial_head, [bad, bad, bad])
+    assert verify_trace(sc, thrice) == []
 
 
 def test_verify_trace_flags_totals_mismatch():

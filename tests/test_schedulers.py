@@ -16,7 +16,6 @@ from plattersim.schedulers import (
     BASELINE_NAMES,
     retry_at_tail,
     run_scheduler,
-    service_order,
 )
 from plattersim.workload import (
     GeneratorParams,
@@ -93,12 +92,12 @@ def _scenario(head, triples, tracks=200, platters=4, sectors=8):
 
 def test_fcfs_is_arrival_order():
     scenario = builtin_case(4)
-    assert service_order(scenario, "fcfs") == list(range(20))
+    assert list(run_scheduler(scenario, "fcfs").order) == list(range(20))
 
 
 def test_sstf_tie_goes_to_lower_track():
     sc = _scenario((50, 1, 0), [(60, 1, 0), (40, 1, 0)])
-    order = service_order(sc, "sstf")
+    order = run_scheduler(sc, "sstf").order
     assert [sc.requests[i].address.track for i in order] == [40, 60]
 
 
@@ -110,7 +109,7 @@ def test_same_track_group_reverses_against_queue_direction():
         (65, 1, 0),
         [(48, 1, 1), (48, 1, 2), (48, 1, 3), (90, 1, 4), (90, 1, 5)],
     )
-    order = service_order(sc, "look", direction="down")
+    order = run_scheduler(sc, "look", direction="down").order
     addresses = [sc.requests[i].address for i in order]
     assert [(a.track, a.sector) for a in addresses] == [
         (48, 3), (48, 2), (48, 1), (90, 4), (90, 5),
@@ -121,7 +120,7 @@ def test_case1_downward_pass_reads_groups_backwards():
     # head 65, queue ascending: the 48-track group arrived with sectors
     # 7,0,4,6 and must come out reversed on the way down.
     scenario = builtin_case(1)
-    order = service_order(scenario, "look", direction="down")
+    order = run_scheduler(scenario, "look", direction="down").order
     addresses = [scenario.requests[i].address for i in order]
     first_leg = [(a.track, a.sector) for a in addresses[:6]]
     assert first_leg == [(60, 1), (48, 6), (48, 4), (48, 0), (48, 7), (15, 2)]
@@ -195,7 +194,7 @@ def test_direction_resolution_precedence():
 def test_direction_rejected_for_non_sweeps():
     scenario = builtin_case(1)
     with pytest.raises(ValueError):
-        service_order(scenario, "sstf", direction="up")
+        run_scheduler(scenario, "sstf", direction="up")
     with pytest.raises(ValueError):
         run_scheduler(scenario, "modsbsm", direction="up")
 
@@ -221,7 +220,7 @@ def test_every_order_is_a_permutation():
     for seed in range(12):
         scenario = generate(geom, GeneratorParams(request_count=17, order="random", seed=seed))
         for algorithm in ALGORITHM_NAMES:
-            order = service_order(scenario, algorithm)
+            order = run_scheduler(scenario, algorithm).order
             assert sorted(order) == list(range(17)), (seed, algorithm)
 
 
@@ -229,7 +228,7 @@ def test_modsbsm_service_order_matches_engine():
     from plattersim.modsbsm import execute
 
     scenario = builtin_case(6)
-    assert tuple(service_order(scenario, "modsbsm")) == execute(scenario).order
+    assert run_scheduler(scenario, "modsbsm").order == execute(scenario).order
 
 
 def test_retry_at_tail_probes_then_abandons():
