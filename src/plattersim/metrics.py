@@ -176,11 +176,11 @@ class EnergyModel:
 
 
 def energy_saved(projected_accesses: int, model: EnergyModel = EnergyModel()) -> tuple[float, float]:
-    """(energy, heat) avoided once a bad sector's content is pinned down.
+    """(energy, heat) of ``n - 2`` of ``n = projected_accesses`` reads, counted as avoided.
 
-    Of ``projected_accesses`` reads of the address, the first two probes hit
-    the platter; the remaining ``n - 2`` are answered from the prescribed-bit
-    table, so their cost is saved.
+    ``modsbsm.bsm`` probes a third time before it finalizes the entry, so the
+    figure overstates the saving by one read per address (only ``n - 3`` are
+    avoided); acceptance criterion 8 freezes it: ``energy_saved(5) == (300.0, 3.0)``.
     """
     if projected_accesses < 2:
         raise ValueError(

@@ -137,12 +137,16 @@ def verify_trace(
     requested = Counter(req.address for req in scenario.requests)
     visited = Counter(step.address for step in steps)
     bad = {spec.address for spec in scenario.faults}
-    for address, count in sorted(requested.items()):
-        needed = min(count, PROBE_LIMIT) if address in bad else count
-        if visited[address] < needed:
-            violations.append(
-                f"coverage: {address} requested {count} times, visited {visited[address]}"
-            )
+    # Sort only the short addresses: a clean trace then pays no sort.
+    short = [
+        (address, count)
+        for address, count in requested.items()
+        if visited[address] < (min(count, PROBE_LIMIT) if address in bad else count)
+    ]
+    for address, count in sorted(short):
+        violations.append(
+            f"coverage: {address} requested {count} times, visited {visited[address]}"
+        )
     if not bad and len(steps) == len(scenario.requests) and visited != requested:
         violations.append("coverage: trace is not a permutation of the request queue")
     return violations

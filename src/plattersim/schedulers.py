@@ -31,6 +31,7 @@ direction is picked:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -74,17 +75,27 @@ def _fcfs_plan(scenario: Scenario) -> Plan:
 
 
 def _sstf_plan(scenario: Scenario) -> Plan:
+    # The served tracks always form a contiguous run of the sorted groups with
+    # the head at one end, so the nearest pending track is groups[left] (just
+    # below the run) or groups[right] (just above); a tie goes to the lower.
     qa = scenario.queue_ascending
-    remaining = dict(_groups(scenario))
-    order: list[int] = []
+    groups = _groups(scenario)
+    tracks = [t for t, _ in groups]
     cur = scenario.initial_head.track
+    right = bisect_left(tracks, cur)
+    left = right - 1
+    order: list[int] = []
     moving_up = qa  # zero movement counts as moving with the queue
-    while remaining:
-        # nearest pending track; ties go to the lower track
-        t = min(remaining, key=lambda x: (abs(x - cur), x))
+    while left >= 0 or right < len(tracks):
+        if right == len(tracks) or (left >= 0 and cur - tracks[left] <= tracks[right] - cur):
+            t, ranks = groups[left]
+            left -= 1
+        else:
+            t, ranks = groups[right]
+            right += 1
         if t != cur:
             moving_up = t > cur
-        order.extend(_serve(remaining.pop(t), moving_up, qa))
+        order.extend(_serve(ranks, moving_up, qa))
         cur = t
     return order, {}
 

@@ -145,6 +145,18 @@ def test_verify_trace_still_wants_probe_limit_visits_of_a_bad_address():
     assert verify_trace(sc, thrice) == []
 
 
+def test_verify_trace_reports_short_addresses_in_address_order():
+    sc = _scenario(
+        (50, 1, 0),
+        [(90, 1, 2), (52, 2, 1), (10, 3, 3), (52, 1, 5), (52, 1, 4), (10, 3, 3)],
+    )
+    visited = replay(sc.geometry, sc.initial_head, [PhysicalAddress(52, 1, 4)])
+    assert verify_trace(sc, visited) == [
+        f"coverage: {PhysicalAddress(*a)} requested {n} times, visited 0"
+        for a, n in [((10, 3, 3), 2), ((52, 1, 5), 1), ((52, 2, 1), 1), ((90, 1, 2), 1)]
+    ]
+
+
 def test_verify_trace_flags_totals_mismatch():
     from plattersim.metrics import AccessTotals
 

@@ -1,9 +1,12 @@
-"""Bad-sector invariants on raw scenarios with repeated addresses.
+"""Properties of raw scenarios that ``generate`` cannot produce.
 
 ``generate`` samples addresses without replacement, so these scenarios are
-built directly: a small address pool makes the queue repeat addresses,
-some of them bad, with writes, one to three platters, any sector count and
-any head position.
+built directly.  Bad-sector invariants: a small address pool makes the
+queue repeat addresses, some of them bad, with writes, one to three
+platters, any sector count and any head position.  SSTF: a small track
+pool makes equidistant neighbours, repeated tracks and a head on, below or
+above the pending tracks common, and the queue arrives ascending,
+descending or at random.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -59,3 +62,76 @@ def test_bad_addresses_probed_at_most_three_times_and_traces_verify(scenario):
         assert sorted(run.order) == ranks, algorithm
         assert run.totals == totals(run.steps), algorithm
         assert verify_trace(scenario, run.steps, run.totals) == [], algorithm
+
+
+def _sstf_reference(scenario):
+    """SSTF by rescanning every pending track at every step (quadratic)."""
+    qa = scenario.queue_ascending
+    remaining = {}
+    for req in scenario.requests:
+        remaining.setdefault(req.address.track, []).append(req.arrival_rank)
+    order = []
+    cur = scenario.initial_head.track
+    moving_up = qa
+    while remaining:
+        t = min(remaining, key=lambda x: (abs(x - cur), x))
+        if t != cur:
+            moving_up = t > cur
+        ranks = remaining.pop(t)
+        order.extend(ranks if moving_up == qa else ranks[::-1])
+        cur = t
+    return order
+
+
+@st.composite
+def track_scenarios(draw):
+    # Evenly spaced pools make equidistant neighbours common.
+    gap = draw(st.integers(1, 3))
+    steps = draw(st.one_of(
+        st.integers(1, 5).map(range),
+        st.lists(st.integers(0, 5), min_size=1, max_size=5, unique=True),
+    ))
+    offset = draw(st.integers(0, 3))
+    pool = [offset + gap * k for k in steps]
+    geometry = DiskGeometry(
+        draw(st.integers(1, 3)), draw(st.integers(max(pool) + 1, 24)), draw(st.integers(1, 8))
+    )
+    top = geometry.num_tracks - 1
+    tracks = draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=7))))
+    arrival = draw(st.sampled_from(["ascending", "descending", "random"]))
+    if arrival != "random":
+        tracks.sort(reverse=arrival == "descending")
+    head_track = draw(st.one_of(
+        st.sampled_from(pool),
+        st.sampled_from([(a + b) // 2 for a in pool for b in pool]),
+        st.integers(0, min(pool)),
+        st.integers(max(pool), top),
+    ))
+
+    def address(track):
+        return PhysicalAddress(
+            track,
+            draw(st.integers(1, geometry.num_platters)),
+            draw(st.integers(0, geometry.sectors_per_track - 1)),
+        )
+
+    return Scenario(
+        geometry=geometry,
+        initial_head=address(head_track),
+        requests=tuple(
+            MemoryRequest(address=address(t), arrival_rank=i) for i, t in enumerate(tracks)
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(track_scenarios())
+def test_sstf_and_mrsa_match_the_rescanning_reference(scenario):
+    reference = _sstf_reference(scenario)
+    assert list(run_scheduler(scenario, "sstf").order) == reference
+    tracks = sorted(scenario.tracks)
+    low, high = tracks[(len(tracks) - 1) // 2], tracks[len(tracks) // 2]
+    if low <= scenario.initial_head.track <= high:
+        assert list(run_scheduler(scenario, "mrsa").order) == reference
+    else:
+        assert run_scheduler(scenario, "mrsa").order == run_scheduler(scenario, "odsa").order
