@@ -7,11 +7,17 @@ from one.  Parsing is tolerant of leading zeros, rendering always produces
 the canonical form without them.  Bounds checking is a separate step from
 parsing so callers can attach their own context (file name, line number)
 to whichever one fails.
+
+``PhysicalAddress`` is a named tuple, so hashing, equality and ordering run
+in C.  It therefore compares equal to the plain tuple of its fields, and
+``_replace``/``_make`` build addresses without the field checks (nothing in
+the package calls them).
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 _INDEX_RE = re.compile(r"(\d+)t(\d+)p(\d+)s")
@@ -55,21 +61,19 @@ class DiskGeometry:
         return self.num_platters * self.num_tracks * self.sectors_per_track
 
 
-@dataclass(frozen=True, order=True)
-class PhysicalAddress:
+class PhysicalAddress(namedtuple("PhysicalAddress", "track platter sector")):
     """One addressable sector: (track, platter, sector)."""
 
-    track: int
-    platter: int
-    sector: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.track < 0:
-            raise ValueError(f"track must be >= 0, got {self.track}")
-        if self.platter < 1:
-            raise ValueError(f"platter is numbered from 1, got {self.platter}")
-        if self.sector < 0:
-            raise ValueError(f"sector must be >= 0, got {self.sector}")
+    def __new__(cls, track: int, platter: int, sector: int):
+        if track < 0:
+            raise ValueError(f"track must be >= 0, got {track}")
+        if platter < 1:
+            raise ValueError(f"platter is numbered from 1, got {platter}")
+        if sector < 0:
+            raise ValueError(f"sector must be >= 0, got {sector}")
+        return tuple.__new__(cls, (track, platter, sector))
 
 
 def parse_index(text: str) -> PhysicalAddress:

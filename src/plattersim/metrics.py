@@ -19,6 +19,10 @@ turning at the disk edge, C-SCAN's full-stroke return); seek includes them.
 Aggregates follow the usual naming — TSKT (total seek), TRL (total
 rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 (TDAT per request).
+
+``ServiceStep``, like :class:`~plattersim.geometry.PhysicalAddress`, is a
+named tuple, so hashing and equality run in C and a step compares equal to
+the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import DiskGeometry, PhysicalAddress, validate
 
@@ -49,8 +53,7 @@ def transfer_cost(prev_platter: int, next_platter: int) -> int:
     return abs(next_platter - prev_platter) + 1
 
 
-@dataclass(frozen=True)
-class ServiceStep:
+class ServiceStep(NamedTuple):
     """Cost breakdown for one serviced (or probed) address."""
 
     address: PhysicalAddress
@@ -143,8 +146,9 @@ class AccessTotals:
 def totals(steps: Sequence[ServiceStep], request_count: int | None = None) -> AccessTotals:
     """Sum a step sequence into AccessTotals.
 
-    ``request_count`` defaults to the number of steps, which is also the
-    convention for runs with failed probes: every physical visit counts.
+    ``request_count`` defaults to the number of steps.  Scheduler runs pass
+    their queue length, so ADAT stays TDAT per request when failed probes
+    add visits or table answers save them.
     """
     if request_count is None:
         request_count = len(steps)

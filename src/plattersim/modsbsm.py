@@ -187,7 +187,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
     steps = replay(scenario.geometry, scenario.initial_head, visits)
     return RunResult(
         steps=tuple(steps),
-        totals=totals(steps),
+        totals=totals(steps, len(scenario.requests)),
         order=tuple(served),
         visits=tuple(visits),
         passes=passes,

@@ -311,7 +311,7 @@ def run_scheduler(
         order=tuple(order),
         visits=tuple(addresses),
         steps=tuple(steps),
-        totals=totals(steps),
+        totals=totals(steps, len(scenario.requests)),
         abandoned=tuple(abandoned),
         note=note,
     )

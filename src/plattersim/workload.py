@@ -215,6 +215,7 @@ def parse_scenario(text: str) -> Scenario:
     head: tuple[PhysicalAddress, int] | None = None
     requests: list[tuple[MemoryRequest, int]] = []
     faults: list[tuple[FaultSpec, int]] = []
+    bad_addresses: set[PhysicalAddress] = set()
     hints: list[tuple[str, str]] = []
     hint_names: set[str] = set()
 
@@ -266,8 +267,9 @@ def parse_scenario(text: str) -> Scenario:
             key, value = _parse_kv(args[1], lineno)
             if key != "bit" or value not in ("0", "1"):
                 raise ScenarioError(f"expected bit=0 or bit=1, got {args[1]!r}", lineno)
-            if any(spec.address == address for spec, _ in faults):
+            if address in bad_addresses:
                 raise ScenarioError(f"duplicate bad entry for {args[0]}", lineno)
+            bad_addresses.add(address)
             faults.append((FaultSpec(address, int(value)), lineno))
         elif directive == "direction":
             if len(args) != 1:

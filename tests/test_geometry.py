@@ -64,6 +64,27 @@ def test_address_component_validation():
         PhysicalAddress(0, 1, -3)
 
 
+triples = st.tuples(st.integers(0, 300), st.integers(1, 8), st.integers(0, 64))
+
+
+@given(st.lists(triples, max_size=30))
+def test_address_hashes_and_sorts_as_its_field_tuple(fields):
+    addresses = [PhysicalAddress(*f) for f in fields]
+    assert [hash(a) for a in addresses] == [hash(f) for f in fields]
+    assert [tuple(a) for a in sorted(addresses)] == sorted(fields)
+
+
+def test_address_record_semantics():
+    a = PhysicalAddress(track=15, platter=1, sector=2)
+    assert a == PhysicalAddress(15, 1, 2) == (15, 1, 2)
+    assert repr(a) == "PhysicalAddress(track=15, platter=1, sector=2)"
+    with pytest.raises(AttributeError):
+        a.track = 16
+    for track, platter, sector in [(-1, 1, 0), (0, 0, 0), (0, 1, -1)]:
+        with pytest.raises(ValueError):
+            PhysicalAddress(track=track, platter=platter, sector=sector)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         DiskGeometry(0, 200, 8)

@@ -164,3 +164,30 @@ def test_same_inputs_same_bytes():
 def test_steps_compose(a, b):
     step = ServiceStep(PhysicalAddress(a, 1, b % 8), seek=a, latency=b % 8, transfer=1)
     assert step.access == step.seek + step.latency + step.transfer
+
+
+step_fields = st.tuples(
+    st.builds(PhysicalAddress, st.integers(0, 9), st.integers(1, 3), st.integers(0, 7)),
+    st.integers(0, 9),
+    st.integers(0, 7),
+    st.integers(1, 3),
+)
+
+
+@given(st.lists(step_fields, max_size=20))
+def test_step_hashes_and_sorts_as_its_field_tuple(fields):
+    steps = [ServiceStep(*f) for f in fields]
+    assert [hash(s) for s in steps] == [hash(f) for f in fields]
+    assert [tuple(s) for s in sorted(steps)] == sorted(fields)
+
+
+def test_step_record_semantics():
+    s = ServiceStep(address=PhysicalAddress(1, 2, 3), seek=4, latency=5, transfer=6)
+    assert s == ServiceStep(PhysicalAddress(1, 2, 3), 4, 5, 6) == ((1, 2, 3), 4, 5, 6)
+    assert s.access == 15
+    assert repr(s) == (
+        "ServiceStep(address=PhysicalAddress(track=1, platter=2, sector=3), "
+        "seek=4, latency=5, transfer=6)"
+    )
+    with pytest.raises(AttributeError):
+        s.seek = 0

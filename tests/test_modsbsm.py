@@ -1,6 +1,7 @@
 """Tests for the cylinder-ordered scheduler and its bad-sector lifecycle."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from plattersim.modsbsm import (
     decide_direction,
     execute,
 )
+from plattersim.schedulers import run_scheduler
 from plattersim.workload import MemoryRequest, Scenario, builtin_case
 
 
@@ -123,7 +125,7 @@ def test_bad_sector_three_pass_lifecycle():
     assert result.passes == 3
     assert len(result.steps) == 22  # 20 requests + 2 failed probes re-visited
     assert fault_model.probe_count(bad) == 3
-    assert result.totals.request_count == 22
+    assert result.totals.request_count == 20  # ADAT is per request, not per visit
 
     entry = result.bad_sector_table[0]
     assert entry.index == bad
@@ -232,6 +234,16 @@ def test_table_answers_keep_a_step_per_request_trace_clean():
     assert fault_model.probe_count(PhysicalAddress(70, 2, 1)) == 3
     assert sorted(result.order) == list(range(8))
     assert verify_trace(sc, result.steps, result.totals) == []
+
+
+def test_adat_divides_by_requests_not_visits():
+    # Five requests to one bad address plus two clean ones: MODSBSM visits
+    # 3 + 2 times (table answers), FCFS 15 + 2 times (three tries each).
+    sc = _faulty((10, 1, 0), [(50, 1, 3)] * 5 + [(30, 1, 5), (90, 1, 0)], bad=[(50, 1, 3)])
+    for algorithm, visits in (("modsbsm", 5), ("fcfs", 17)):
+        run = run_scheduler(sc, algorithm)
+        assert len(run.steps) == visits, algorithm
+        assert run.totals.adat == Fraction(run.totals.tdat, 7), algorithm
 
 
 def test_head_state_persists_across_passes():

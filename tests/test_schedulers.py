@@ -263,7 +263,7 @@ def test_faulty_baseline_run_prices_every_probe():
     run = run_scheduler(faulty, "fcfs")
     assert len(run.steps) == 22  # 20 requests + 2 extra probes of the bad one
     assert run.abandoned == (5,)
-    assert run.totals.request_count == 22
+    assert run.totals.request_count == 20  # ADAT is per request, not per visit
     assert "retried at queue tail" in run.note
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,8 +179,17 @@ def test_duplicate_bad_entry_rejected():
         "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\n"
         "bad 5t1p1s bit=0\nbad 5t1p1s bit=1\n"
     )
-    with pytest.raises(ScenarioError, match="duplicate bad entry"):
+    with pytest.raises(ScenarioError, match="line 4: duplicate bad entry for 5t1p1s"):
         parse_scenario(text)
+
+
+def test_ten_thousand_bad_lines_parse_within_two_seconds():
+    lines = ["geometry platters=4 tracks=1000 sectors=8", "head 0t1p0s"]
+    lines += [f"bad {i // 32}t{i // 8 % 4 + 1}p{i % 8}s bit={i % 2}" for i in range(10_000)]
+    start = time.perf_counter()
+    sc = parse_scenario("\n".join(lines))
+    assert time.perf_counter() - start < 2.0
+    assert len(sc.faults) == len({spec.address for spec in sc.faults}) == 10_000
 
 
 # ---------------------------------------------------------------------------
