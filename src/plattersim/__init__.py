@@ -21,6 +21,7 @@ from .geometry import (
 from .metrics import (
     AccessTotals,
     EnergyModel,
+    SchedulerRun,
     ServiceStep,
     energy_saved,
     improvement,
@@ -34,7 +35,6 @@ from .metrics import (
 from .modsbsm import (
     BadSectorEntry,
     DirectionDecision,
-    RunResult,
     arrange,
     bsm,
     decide_direction,
@@ -59,7 +59,6 @@ from .report import (
 )
 from .schedulers import (
     ALGORITHM_NAMES,
-    SchedulerRun,
     retry_at_tail,
     run_scheduler,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "ProbeOutcome",
     "REFERENCE_TOTALS",
     "REFERRED_ALGORITHMS",
-    "RunResult",
     "SavingsReport",
     "Scenario",
     "ScenarioError",

@@ -144,8 +144,7 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(render_run_table(run, with_trace=args.trace))
     if args.savings is not None:
-        resolved = tuple(e.index for e in run.bad_sector_table if e.finalized)
-        rep = savings_report(resolved, EnergyModel(), args.savings)
+        rep = savings_report(run.resolved, EnergyModel(), args.savings)
         prefix = "# " if args.format == "csv" else ""
         for row in rep.rows:
             print(
@@ -169,9 +168,7 @@ def _cmd_compare(args) -> int:
             print(f"plattersim compare: error: {exc}", file=sys.stderr)
             return 1
     if args.builtin == "all":
-        report = compare_builtin_suite(
-            BUILTIN_CASE_IDS, algorithms, paper_directions=args.paper_directions
-        )
+        report = compare_builtin_suite(algorithms, paper_directions=args.paper_directions)
     else:
         report = compare_scenario(
             _load_scenario(args), algorithms, paper_directions=args.paper_directions

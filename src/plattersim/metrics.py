@@ -22,7 +22,8 @@ rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 
 ``ServiceStep``, like :class:`~plattersim.geometry.PhysicalAddress`, is a
 named tuple, so hashing and equality run in C and a step compares equal to
-the plain tuple of its fields.
+the plain tuple of its fields.  ``SchedulerRun`` is the one record of a
+scheduler run, baseline or MODSBSM.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import DiskGeometry, PhysicalAddress, validate
+
+if TYPE_CHECKING:
+    from .modsbsm import BadSectorEntry, DirectionDecision
 
 
 def rotational_delta(prev_sector: int, next_sector: int, sectors_per_track: int) -> int:
@@ -143,6 +147,31 @@ class AccessTotals:
         return (self.tskt, self.trl, self.tdtt, self.tdat)
 
 
+@dataclass(frozen=True)
+class SchedulerRun:
+    """Everything one scheduler did on one scenario.
+
+    ``decisions`` holds MODSBSM's per-pass direction choices; baselines
+    leave it empty, as they leave the bad-sector table.
+    """
+
+    algorithm: str
+    order: tuple[int, ...]
+    visits: tuple[PhysicalAddress, ...]
+    steps: tuple[ServiceStep, ...]
+    totals: AccessTotals
+    passes: int = 1
+    bad_sector_table: tuple[BadSectorEntry, ...] = ()
+    abandoned: tuple[int, ...] = ()
+    note: str = ""
+    decisions: tuple[DirectionDecision, ...] = ()
+
+    @property
+    def resolved(self) -> tuple[PhysicalAddress, ...]:
+        """Bad addresses whose table entry was finalized."""
+        return tuple(e.index for e in self.bad_sector_table if e.finalized)
+
+
 def totals(steps: Sequence[ServiceStep], request_count: int | None = None) -> AccessTotals:
     """Sum a step sequence into AccessTotals.
 
@@ -211,13 +240,12 @@ def trace_csv(steps: Sequence[ServiceStep]) -> str:
     return out.getvalue()
 
 
-def totals_csv_row(algorithm: str, t: AccessTotals) -> str:
-    return f"{algorithm},{t.tskt},{t.trl},{t.tdtt},{t.tdat},{t.adat_text}"
-
-
 def totals_csv(rows: Iterable[tuple[str, AccessTotals]]) -> str:
+    """Render (algorithm, totals) pairs as CSV under ``TOTALS_CSV_HEADER``."""
     lines = [TOTALS_CSV_HEADER]
-    lines.extend(totals_csv_row(name, t) for name, t in rows)
+    lines.extend(
+        f"{name},{t.tskt},{t.trl},{t.tdtt},{t.tdat},{t.adat_text}" for name, t in rows
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ from typing import ClassVar, Iterable, Protocol, Sequence
 
 from .faults import FaultModel, ProbeOutcome
 from .geometry import PhysicalAddress
-from .metrics import AccessTotals, ServiceStep, replay, totals
+from .metrics import SchedulerRun, replay, totals
 from .workload import MemoryRequest, Scenario
 
 ASCENDING = "up"
@@ -119,29 +119,15 @@ def bsm(entry: BadSectorEntry, faults: FaultModel) -> None:
     entry.finalized = 1
 
 
-@dataclass(frozen=True)
-class RunResult:
-    steps: tuple[ServiceStep, ...]
-    totals: AccessTotals
-    order: tuple[int, ...]
-    visits: tuple[PhysicalAddress, ...]
-    passes: int
-    decisions: tuple[DirectionDecision, ...]
-    bad_sector_table: tuple[BadSectorEntry, ...]
-
-    @property
-    def resolved(self) -> tuple[PhysicalAddress, ...]:
-        return tuple(e.index for e in self.bad_sector_table if e.finalized)
-
-
-def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunResult:
+def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> SchedulerRun:
     """Run the scheduler over a scenario until the pending queue drains.
 
     Every physical visit — including failed probes — is priced as a normal
     step, and the head position, rotation and platter reference persist
     across passes.  ``order`` lists arrival ranks in the order requests were
     actually served; a request answered from a finalized table entry is
-    served without a physical step.
+    served without a physical step.  The run record carries the per-pass
+    ``decisions`` and the bad-sector table as well.
     """
     if not scenario.requests:
         raise ValueError("scenario has no requests")
@@ -185,7 +171,8 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> RunRes
         pending = carry
 
     steps = replay(scenario.geometry, scenario.initial_head, visits)
-    return RunResult(
+    return SchedulerRun(
+        algorithm="modsbsm",
         steps=tuple(steps),
         totals=totals(steps, len(scenario.requests)),
         order=tuple(served),

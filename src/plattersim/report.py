@@ -3,10 +3,11 @@
 The six built-in workloads ship with reference totals for cross-checking.
 ``compare_scenario`` replays the requested schedulers, reports the replayed
 pricing as ground truth, and lists every cell where a bundled reference
-disagrees with it; ``compare_builtin_suite`` does the same over several
-built-in cases at once and aggregates the totals.  The two headline
-percentages compare the proposed scheduler's ADAT against the mean of the
-six classic schedulers and against the mean of the five peer policies.
+disagrees with it.  ``compare_builtin_suite`` is the sum of the six
+per-case reports: totals summed per algorithm, reference deltas and notes
+concatenated in case order.  The two headline percentages compare the
+proposed scheduler's ADAT against the mean of the six classic schedulers
+and against the mean of the five peer policies.
 
 All rendering here is deterministic: same inputs, same bytes.
 """
@@ -17,13 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import render_index
-from .metrics import (
-    AccessTotals,
-    improvement,
-    totals_csv_row,
-    trace_csv,
-    TOTALS_CSV_HEADER,
-)
+from .metrics import AccessTotals, improvement, totals_csv, trace_csv
 from .schedulers import ALGORITHM_NAMES, SchedulerRun, run_scheduler
 from .workload import BUILTIN_CASE_IDS, Scenario, builtin_case
 
@@ -138,10 +133,14 @@ class ComparisonReport:
     request_count: int
 
 
+# Built once: scenarios are frozen, so every report can share them.
+_BUILTIN_CASES = tuple((case_id, builtin_case(case_id)) for case_id in BUILTIN_CASE_IDS)
+
+
 def identify_builtin(scenario: Scenario) -> int | None:
     """Which built-in case this scenario is, if any (exact match)."""
-    for case_id in BUILTIN_CASE_IDS:
-        if scenario == builtin_case(case_id):
+    for case_id, case in _BUILTIN_CASES:
+        if scenario == case:
             return case_id
     return None
 
@@ -230,59 +229,41 @@ def compare_scenario(
     )
 
 
+def _summed(rows: Sequence[ComparisonRow]) -> ComparisonRow:
+    """One algorithm's rows from several reports, totals summed."""
+    per_case = [row.totals for row in rows]
+    return ComparisonRow(
+        rows[0].algorithm,
+        AccessTotals(
+            tskt=sum(t.tskt for t in per_case),
+            trl=sum(t.trl for t in per_case),
+            tdtt=sum(t.tdtt for t in per_case),
+            request_count=sum(t.request_count for t in per_case),
+        ),
+    )
+
+
 def compare_builtin_suite(
-    case_ids: Sequence[int] = BUILTIN_CASE_IDS,
     algorithms: Iterable[str] | None = None,
     paper_directions: bool = True,
 ) -> ComparisonReport:
-    """Aggregate comparison over several built-in cases.
+    """The per-algorithm sum of the six built-in cases' reports.
 
-    Totals are summed per algorithm across the cases and ADAT is taken over
-    the combined request count; per-case reference deltas are concatenated.
+    ADAT is taken over the combined request count; per-case reference
+    deltas and notes are concatenated in case order.
     """
     names = normalize_algorithms(algorithms)
-    for case_id in case_ids:
-        if case_id not in BUILTIN_CASE_IDS:
-            raise ValueError(f"unknown built-in case {case_id}")
-    sums = {name: [0, 0, 0, 0] for name in names}
-    discrepancies: list[Discrepancy] = []
-    notes: list[str] = []
-    for case_id in case_ids:
-        scenario = builtin_case(case_id)
-        case_rows = []
-        for name in names:
-            run = run_scheduler(scenario, name, use_hints=paper_directions)
-            case_rows.append(ComparisonRow(name, run.totals))
-            acc = sums[name]
-            acc[0] += run.totals.tskt
-            acc[1] += run.totals.trl
-            acc[2] += run.totals.tdtt
-            acc[3] += run.totals.request_count
-        discrepancies.extend(_case_discrepancies(case_id, case_rows))
-        if case_id == 3:
-            notes.append(_CASE3_NOTE)
-    rows = tuple(
-        ComparisonRow(
-            name,
-            AccessTotals(
-                tskt=sums[name][0],
-                trl=sums[name][1],
-                tdtt=sums[name][2],
-                request_count=sums[name][3],
-            ),
-        )
-        for name in names
-    )
+    reports = [compare_scenario(case, names, paper_directions) for _, case in _BUILTIN_CASES]
+    rows = tuple(_summed(same) for same in zip(*(r.rows for r in reports)))
     vs_traditional, vs_referred = _improvements(rows)
-    label = "built-in cases " + ",".join(str(c) for c in case_ids)
     return ComparisonReport(
-        label=label,
+        label="built-in cases " + ",".join(str(c) for c in BUILTIN_CASE_IDS),
         rows=rows,
         improvement_vs_traditional=vs_traditional,
         improvement_vs_referred=vs_referred,
-        discrepancies=tuple(discrepancies),
-        notes=tuple(notes),
-        request_count=sum(len(builtin_case(c).requests) for c in case_ids),
+        discrepancies=tuple(d for r in reports for d in r.discrepancies),
+        notes=tuple(n for r in reports for n in r.notes),
+        request_count=sum(r.request_count for r in reports),
     )
 
 
@@ -323,9 +304,7 @@ def render_comparison_table(report: ComparisonReport) -> str:
 
 
 def render_comparison_csv(report: ComparisonReport) -> str:
-    lines = [TOTALS_CSV_HEADER]
-    for row in report.rows:
-        lines.append(totals_csv_row(row.algorithm, row.totals))
+    lines = []
     if report.improvement_vs_traditional is not None:
         lines.append(
             f"# improvement_vs_traditional={report.improvement_vs_traditional:.2f}"
@@ -339,7 +318,8 @@ def render_comparison_csv(report: ComparisonReport) -> str:
         )
     for note in report.notes:
         lines.append(f"# note {note}")
-    return "\n".join(lines) + "\n"
+    table = totals_csv((row.algorithm, row.totals) for row in report.rows)
+    return table + "".join(line + "\n" for line in lines)
 
 
 def _bad_table_lines(run: SchedulerRun) -> list[str]:
@@ -394,7 +374,7 @@ def render_run_csv(run: SchedulerRun, with_trace: bool = False) -> str:
     blocks = []
     if with_trace:
         blocks.append(trace_csv(run.steps))
-    blocks.append(TOTALS_CSV_HEADER + "\n" + totals_csv_row(run.algorithm, run.totals) + "\n")
+    blocks.append(totals_csv([(run.algorithm, run.totals)]))
     if run.bad_sector_table:
         blocks.append(bad_table_csv(run))
     return "\n".join(blocks)

@@ -33,13 +33,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import modsbsm
 from .faults import FaultModel, ProbeOutcome
-from .geometry import PhysicalAddress
-from .metrics import AccessTotals, ServiceStep, replay, totals
+from .metrics import SchedulerRun, replay, totals
 from .workload import Scenario
 
 SWEEP_NAMES = ("scan", "cscan", "look", "clook")
@@ -47,7 +45,7 @@ BASELINE_NAMES = ("fcfs", "sstf") + SWEEP_NAMES + ("odsa", "hdsa", "rp10", "smcc
 ALGORITHM_NAMES = BASELINE_NAMES + ("modsbsm",)
 
 DEFAULT_SWEEP_DIRECTION = "down"
-DEFAULT_RETRY_LIMIT = 3
+RETRY_LIMIT = 3  # attempts per request before retry_at_tail abandons it
 
 # A visit order over arrival ranks, and the head path's waypoints keyed by
 # visit position (see metrics.replay).
@@ -219,18 +217,15 @@ def retry_at_tail(
     order: Sequence[int],
     scenario: Scenario,
     faults: FaultModel,
-    limit: int = DEFAULT_RETRY_LIMIT,
 ) -> tuple[list[int], list[int], list[int]]:
     """Drive a planned order against a fault table, retrying failures at the tail.
 
     Each failed visit re-queues the request at the end of the queue until it
-    has been attempted ``limit`` times, then it is abandoned.  Returns
+    has been attempted ``RETRY_LIMIT`` times, then it is abandoned.  Returns
     (visit ranks, served ranks, abandoned ranks).  This is a simple
     extrapolation for the baseline schedulers, which have no bad-sector
     handling of their own; every attempt is a physical probe.
     """
-    if limit < 1:
-        raise ValueError("retry limit must be >= 1")
     queue = deque(order)
     attempts: dict[int, int] = {}
     visits: list[int] = []
@@ -244,26 +239,11 @@ def retry_at_tail(
             served.append(rank)
             continue
         attempts[rank] = attempts.get(rank, 0) + 1
-        if attempts[rank] < limit:
+        if attempts[rank] < RETRY_LIMIT:
             queue.append(rank)
         else:
             abandoned.append(rank)
     return visits, served, abandoned
-
-
-@dataclass(frozen=True)
-class SchedulerRun:
-    """Everything one scheduler did on one scenario."""
-
-    algorithm: str
-    order: tuple[int, ...]
-    visits: tuple[PhysicalAddress, ...]
-    steps: tuple[ServiceStep, ...]
-    totals: AccessTotals
-    passes: int = 1
-    bad_sector_table: tuple[modsbsm.BadSectorEntry, ...] = ()
-    abandoned: tuple[int, ...] = ()
-    note: str = ""
 
 
 def run_scheduler(
@@ -279,23 +259,14 @@ def run_scheduler(
     On a faulty scenario they drive the plan with the retry-at-tail
     policy; retries follow the whole planned order, so the plan's
     waypoints keep their visit positions.  ``modsbsm`` runs its own
-    multi-pass engine.
+    multi-pass engine, whose record is returned as it is.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "modsbsm":
         if direction is not None:
             raise ValueError("modsbsm picks its own direction each pass")
-        result = modsbsm.execute(scenario)
-        return SchedulerRun(
-            algorithm=algorithm,
-            order=result.order,
-            visits=result.visits,
-            steps=result.steps,
-            totals=result.totals,
-            passes=result.passes,
-            bad_sector_table=result.bad_sector_table,
-        )
+        return modsbsm.execute(scenario)
 
     order, via = _plan(scenario, algorithm, direction, use_hints)
     visit_ranks, abandoned, note = order, [], ""

@@ -1,5 +1,8 @@
 """End-to-end command-line tests (driven in-process through main)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from plattersim.cli import main
@@ -175,3 +178,12 @@ def test_output_is_byte_identical_between_invocations(capsys):
     code_b, out_b, _ = _run(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_paper6_stdout_matches_the_recorded_bytes(capsys):
+    argv = ["compare", "--builtin", "all", "--all", "--paper-directions"]
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    recorded = json.loads(expected.read_text())["paper6"]["argv=" + " ".join(argv)]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out == recorded["stdout"]

@@ -145,6 +145,15 @@ def test_bad_sector_three_pass_lifecycle():
     assert sorted(result.order) == list(range(20))
 
 
+def test_run_scheduler_returns_the_execute_record():
+    scenario, bad = _with_fault(builtin_case(2), "65t1p3s", 1)
+    run = run_scheduler(scenario, "modsbsm")
+    assert run == execute(scenario)
+    assert run.algorithm == "modsbsm"
+    assert len(run.decisions) == run.passes == 3
+    assert run.resolved == (bad,)
+
+
 def test_prescribed_bit_kept_when_it_already_matches():
     scenario, bad = _with_fault(builtin_case(2), "65t1p3s", 0)
     fault_model = FaultModel(scenario.faults)

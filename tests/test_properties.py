@@ -3,7 +3,8 @@
 ``generate`` samples addresses without replacement, so these scenarios are
 built directly.  Bad-sector invariants: a small address pool makes the
 queue repeat addresses, some of them bad, with writes, one to three
-platters, any sector count and any head position.  SSTF: a small track
+platters, any sector count and any head position; one address is always
+requested at least three times and is usually bad.  SSTF: a small track
 pool makes equidistant neighbours, repeated tracks and a head on, below or
 above the pending tracks common, and the queue arrives ascending,
 descending or at random.
@@ -32,11 +33,18 @@ def scenarios(draw):
         st.integers(0, geometry.sectors_per_track - 1),
     )
     pool = draw(st.lists(address, min_size=1, max_size=4, unique=True))
-    # Every pool address is requested at least once, so repeats of a bad
-    # address come on top of a queue that already spans the pool.
-    picks = pool + draw(st.lists(st.sampled_from(pool), max_size=10))
+    # Every pool address is requested at least once, and one of them 2-5
+    # more times, so repeats come on top of a queue that spans the pool.
+    # The repeated address is bad unless a drawn boolean keeps it clean:
+    # that is the case the probe cap is about.
+    repeated = draw(st.sampled_from(pool))
+    extra = [repeated] * draw(st.integers(2, 5))
+    extra += draw(st.lists(st.sampled_from(pool), max_size=10))
+    picks = draw(st.permutations(pool + extra))
     ops = draw(st.lists(st.sampled_from("rw"), min_size=len(picks), max_size=len(picks)))
     bad = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    if repeated not in bad and not draw(st.booleans()):
+        bad.append(repeated)
     return Scenario(
         geometry=geometry,
         initial_head=draw(address),

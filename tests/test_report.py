@@ -12,7 +12,7 @@ from plattersim.report import (
     render_comparison_csv,
     render_comparison_table,
 )
-from plattersim.workload import builtin_case, parse_scenario, render_scenario
+from plattersim.workload import BUILTIN_CASE_IDS, builtin_case, parse_scenario, render_scenario
 
 
 def test_groups():
@@ -71,6 +71,22 @@ def test_aggregate_suite_totals_and_improvements():
     assert round(report.improvement_vs_traditional, 2) == 33.39
     assert round(report.improvement_vs_referred, 2) == 7.92
     assert any("case 3" in note for note in report.notes)
+
+
+def test_suite_is_the_sum_of_the_per_case_reports():
+    suite = compare_builtin_suite()
+    cases = [compare_scenario(builtin_case(c), paper_directions=True) for c in BUILTIN_CASE_IDS]
+    assert [r.algorithm for r in suite.rows] == [r.algorithm for r in cases[0].rows]
+    for k, row in enumerate(suite.rows):
+        fields = ("tskt", "trl", "tdtt", "request_count")
+        sums = [sum(getattr(case.rows[k].totals, f) for case in cases) for f in fields]
+        assert sums == [getattr(row.totals, f) for f in fields]
+    assert suite.discrepancies == tuple(d for case in cases for d in case.discrepancies)
+    assert suite.notes == tuple(n for case in cases for n in case.notes)
+    assert suite.request_count == 120
+    assert suite.label == "built-in cases 1,2,3,4,5,6"
+    # the selection is read once, so a one-shot iterator serves all six cases
+    assert compare_builtin_suite(iter(["modsbsm", "look"])) == compare_builtin_suite(["look", "modsbsm"])
 
 
 def test_reference_tables_cover_expected_rows():

@@ -247,7 +247,7 @@ def test_retry_at_tail_probes_then_abandons():
     sc = _scenario((5, 1, 0), [(3, 1, 1), (7, 1, 2)], tracks=10, platters=1)
     bad = sc.requests[0].address
     faults = FaultModel([FaultSpec(bad, 1)])
-    visits, served, abandoned = retry_at_tail([0, 1], sc, faults, limit=3)
+    visits, served, abandoned = retry_at_tail([0, 1], sc, faults)
     assert visits == [0, 1, 0, 0]
     assert served == [1]
     assert abandoned == [0]
