@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .faults import savings_report
-from .geometry import GeometryBoundsError, IndexSyntaxError, render_index
+from .geometry import render_index
 from .metrics import EnergyModel
 from .oracle import MAX_ORACLE_REQUESTS, OracleSizeError, optimal_order
 from .report import (
@@ -33,7 +33,6 @@ from .workload import (
     BUILTIN_CASE_IDS,
     GeneratorParams,
     Scenario,
-    ScenarioError,
     builtin_case,
     generate,
     parse_scenario,
@@ -234,7 +233,7 @@ def main(argv=None) -> int:
     except OracleSizeError as exc:
         print(f"plattersim: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioError, GeometryBoundsError, IndexSyntaxError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"plattersim: {exc}", file=sys.stderr)
         return 2
 

@@ -54,18 +54,11 @@ class FaultModel:
             return ProbeOutcome.UNREADABLE
         return ProbeOutcome.READABLE
 
-    def is_bad(self, address: PhysicalAddress) -> bool:
-        return address in self._bits
-
     def true_bit(self, address: PhysicalAddress) -> int:
         return self._bits[address]
 
     def probe_count(self, address: PhysicalAddress) -> int:
         return self._probes.get(address, 0)
-
-    @property
-    def bad_addresses(self) -> tuple[PhysicalAddress, ...]:
-        return tuple(self._bits)
 
 
 @dataclass(frozen=True)

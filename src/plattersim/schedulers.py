@@ -38,9 +38,9 @@ from typing import Callable, Sequence
 from . import modsbsm
 from .faults import FaultModel, ProbeOutcome
 from .metrics import SchedulerRun, replay, totals
-from .workload import Scenario
+from .workload import DIRECTION_HINT_NAMES, DIRECTIONS, Scenario
 
-SWEEP_NAMES = ("scan", "cscan", "look", "clook")
+SWEEP_NAMES = DIRECTION_HINT_NAMES
 BASELINE_NAMES = ("fcfs", "sstf") + SWEEP_NAMES + ("odsa", "hdsa", "rp10", "smcc", "mrsa")
 ALGORITHM_NAMES = BASELINE_NAMES + ("modsbsm",)
 
@@ -185,7 +185,7 @@ def resolve_direction(
 ) -> str:
     """Sweep direction: explicit argument, then scenario hint, then default."""
     if direction is not None:
-        if direction not in ("up", "down"):
+        if direction not in DIRECTIONS:
             raise ValueError(f"direction must be up or down, got {direction!r}")
         return direction
     if use_hints:

@@ -14,8 +14,9 @@ direction hints.  The text form is line oriented::
 
 ``geometry`` and ``head`` appear exactly once; ``request`` lines are kept in
 file order (that order *is* the arrival order); ``op`` defaults to ``r`` and
-is omitted by the renderer when it is ``r``.  Parse errors carry the line
-number; bounds errors name the offending component.
+is omitted by the renderer when it is ``r``.  Parsing checks only syntax;
+:class:`Scenario` checks the content (bounds, duplicate ``bad`` entries,
+hints); every error raised for a line carries that line's number, once.
 
 The arrival order also fixes how same-track requests are queued: the pending
 queue is a track-sorted list kept in the direction the queue arrived in.  A
@@ -27,13 +28,13 @@ forward or backward depending on which way the head crosses the track.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .faults import FaultSpec
 from .geometry import (
     DiskGeometry,
     GeometryBoundsError,
-    IndexSyntaxError,
     PhysicalAddress,
     parse_index,
     render_index,
@@ -46,10 +47,11 @@ OPS = ("r", "w")
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario text; ``line`` is 1-based when known."""
+    """Malformed scenario: its 1-based ``line`` and ``(directive, index)`` ``entry`` when known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, entry: tuple[str, int] | None = None):
         self.line = line
+        self.entry = entry
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -74,6 +76,15 @@ class MemoryRequest:
             raise ValueError("arrival_rank must be >= 0")
 
 
+def _check_bounds(
+    geometry: DiskGeometry, address: PhysicalAddress, directive: str, index: int
+) -> None:
+    try:
+        validate(geometry, address)
+    except GeometryBoundsError as exc:
+        raise ScenarioError(f"{directive}: {exc}", entry=(directive, index)) from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     geometry: DiskGeometry
@@ -86,27 +97,36 @@ class Scenario:
         object.__setattr__(self, "requests", tuple(self.requests))
         object.__setattr__(self, "faults", tuple(self.faults))
         object.__setattr__(self, "direction_hints", tuple(self.direction_hints))
-        validate(self.geometry, self.initial_head)
+        _check_bounds(self.geometry, self.initial_head, "head", 0)
         for i, req in enumerate(self.requests):
-            validate(self.geometry, req.address)
+            _check_bounds(self.geometry, req.address, "request", i)
             if req.arrival_rank != i:
-                raise ValueError(
-                    f"request {i} carries arrival_rank {req.arrival_rank}"
+                raise ScenarioError(
+                    f"request {i} carries arrival_rank {req.arrival_rank}",
+                    entry=("request", i),
                 )
         seen = set()
-        for spec in self.faults:
-            validate(self.geometry, spec.address)
+        for i, spec in enumerate(self.faults):
+            _check_bounds(self.geometry, spec.address, "bad", i)
             if spec.address in seen:
-                raise ValueError(f"duplicate fault entry for {spec.address}")
+                raise ScenarioError(
+                    f"duplicate bad entry for {render_index(spec.address)}",
+                    entry=("bad", i),
+                )
             seen.add(spec.address)
         names = set()
-        for name, direction in self.direction_hints:
+        for i, (name, direction) in enumerate(self.direction_hints):
+            entry = ("direction", i)
             if name not in DIRECTION_HINT_NAMES:
-                raise ValueError(f"direction hint for unknown scheduler {name!r}")
+                raise ScenarioError(
+                    f"direction hint for unknown scheduler {name!r} "
+                    f"(expected one of {', '.join(DIRECTION_HINT_NAMES)})",
+                    entry=entry,
+                )
             if direction not in DIRECTIONS:
-                raise ValueError(f"direction must be up or down, got {direction!r}")
+                raise ScenarioError(f"direction must be up or down, got {direction!r}", entry=entry)
             if name in names:
-                raise ValueError(f"duplicate direction hint for {name}")
+                raise ScenarioError(f"duplicate direction hint for {name}", entry=entry)
             names.add(name)
 
     def hint(self, algorithm: str) -> str | None:
@@ -188,136 +208,100 @@ def generate(geometry: DiskGeometry, params: GeneratorParams) -> Scenario:
     return Scenario(geometry=geometry, initial_head=head, requests=requests, faults=faults)
 
 
-def _parse_kv(token: str, line: int) -> tuple[str, str]:
+def _parse_kv(token: str) -> tuple[str, str]:
     key, sep, value = token.partition("=")
     if not sep or not key or not value:
-        raise ScenarioError(f"expected key=value, got {token!r}", line)
+        raise ValueError(f"expected key=value, got {token!r}")
     return key, value
 
 
-def _parse_int(value: str, what: str, line: int) -> int:
+def _parse_int(value: str, what: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ScenarioError(f"{what} must be an integer, got {value!r}", line) from None
-
-
-def _parse_address(text: str, line: int) -> PhysicalAddress:
-    try:
-        return parse_index(text)
-    except IndexSyntaxError as exc:
-        raise ScenarioError(str(exc), line) from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text; raises :class:`ScenarioError` with line numbers."""
+    """Parse scenario text; raises :class:`ScenarioError` with line numbers.
+
+    Syntax errors come first, in line order; then a missing geometry or head;
+    then the first content error :class:`Scenario` finds, at its entry's line.
+    """
     geometry: DiskGeometry | None = None
-    head: tuple[PhysicalAddress, int] | None = None
-    requests: list[tuple[MemoryRequest, int]] = []
-    faults: list[tuple[FaultSpec, int]] = []
-    bad_addresses: set[PhysicalAddress] = set()
+    head: PhysicalAddress | None = None
+    requests: list[MemoryRequest] = []
+    faults: list[FaultSpec] = []
     hints: list[tuple[str, str]] = []
-    hint_names: set[str] = set()
+    linenos: defaultdict[str, list[int]] = defaultdict(list)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
-        if directive == "geometry":
-            if geometry is not None:
-                raise ScenarioError("geometry declared twice", lineno)
-            fields = dict(_parse_kv(tok, lineno) for tok in args)
-            if set(fields) != {"platters", "tracks", "sectors"}:
-                raise ScenarioError(
-                    "geometry needs exactly platters=, tracks= and sectors=", lineno
-                )
-            try:
+        directive, *args = line.split()
+        linenos[directive].append(lineno)
+        try:
+            if directive == "geometry":
+                if geometry is not None:
+                    raise ValueError("geometry declared twice")
+                fields = dict(_parse_kv(tok) for tok in args)
+                if set(fields) != {"platters", "tracks", "sectors"}:
+                    raise ValueError("geometry needs exactly platters=, tracks= and sectors=")
                 geometry = DiskGeometry(
-                    num_platters=_parse_int(fields["platters"], "platters", lineno),
-                    num_tracks=_parse_int(fields["tracks"], "tracks", lineno),
-                    sectors_per_track=_parse_int(fields["sectors"], "sectors", lineno),
+                    num_platters=_parse_int(fields["platters"], "platters"),
+                    num_tracks=_parse_int(fields["tracks"], "tracks"),
+                    sectors_per_track=_parse_int(fields["sectors"], "sectors"),
                 )
-            except ValueError as exc:
-                raise ScenarioError(str(exc), lineno) from None
-        elif directive == "head":
-            if head is not None:
-                raise ScenarioError("head declared twice", lineno)
-            if len(args) != 1:
-                raise ScenarioError("head takes exactly one address", lineno)
-            head = (_parse_address(args[0], lineno), lineno)
-        elif directive == "request":
-            if not 1 <= len(args) <= 2:
-                raise ScenarioError("request takes an address and optional op=", lineno)
-            address = _parse_address(args[0], lineno)
-            op = "r"
-            if len(args) == 2:
-                key, value = _parse_kv(args[1], lineno)
-                if key != "op" or value not in OPS:
-                    raise ScenarioError(f"expected op=r or op=w, got {args[1]!r}", lineno)
-                op = value
-            requests.append(
-                (MemoryRequest(address=address, op=op, arrival_rank=len(requests)), lineno)
-            )
-        elif directive == "bad":
-            if len(args) != 2:
-                raise ScenarioError("bad takes an address and bit=", lineno)
-            address = _parse_address(args[0], lineno)
-            key, value = _parse_kv(args[1], lineno)
-            if key != "bit" or value not in ("0", "1"):
-                raise ScenarioError(f"expected bit=0 or bit=1, got {args[1]!r}", lineno)
-            if address in bad_addresses:
-                raise ScenarioError(f"duplicate bad entry for {args[0]}", lineno)
-            bad_addresses.add(address)
-            faults.append((FaultSpec(address, int(value)), lineno))
-        elif directive == "direction":
-            if len(args) != 1:
-                raise ScenarioError("direction takes one scheduler=up|down pair", lineno)
-            name, value = _parse_kv(args[0], lineno)
-            if name not in DIRECTION_HINT_NAMES:
-                raise ScenarioError(
-                    f"direction hint for unknown scheduler {name!r} "
-                    f"(expected one of {', '.join(DIRECTION_HINT_NAMES)})",
-                    lineno,
-                )
-            if value not in DIRECTIONS:
-                raise ScenarioError(f"direction must be up or down, got {value!r}", lineno)
-            if name in hint_names:
-                raise ScenarioError(f"duplicate direction hint for {name}", lineno)
-            hint_names.add(name)
-            hints.append((name, value))
-        else:
-            raise ScenarioError(f"unknown directive {directive!r}", lineno)
+            elif directive == "head":
+                if head is not None:
+                    raise ValueError("head declared twice")
+                if len(args) != 1:
+                    raise ValueError("head takes exactly one address")
+                head = parse_index(args[0])
+            elif directive == "request":
+                if not 1 <= len(args) <= 2:
+                    raise ValueError("request takes an address and optional op=")
+                address = parse_index(args[0])
+                op = "r"
+                if len(args) == 2:
+                    key, value = _parse_kv(args[1])
+                    if key != "op" or value not in OPS:
+                        raise ValueError(f"expected op=r or op=w, got {args[1]!r}")
+                    op = value
+                requests.append(MemoryRequest(address, op, len(requests)))
+            elif directive == "bad":
+                if len(args) != 2:
+                    raise ValueError("bad takes an address and bit=")
+                address = parse_index(args[0])
+                key, value = _parse_kv(args[1])
+                if key != "bit" or value not in ("0", "1"):
+                    raise ValueError(f"expected bit=0 or bit=1, got {args[1]!r}")
+                faults.append(FaultSpec(address, int(value)))
+            elif directive == "direction":
+                if len(args) != 1:
+                    raise ValueError("direction takes one scheduler=up|down pair")
+                hints.append(_parse_kv(args[0]))
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise ScenarioError(str(exc), lineno) from None
 
     if geometry is None:
         raise ScenarioError("missing geometry declaration")
     if head is None:
         raise ScenarioError("missing head declaration")
-
-    head_address, head_line = head
     try:
-        validate(geometry, head_address)
-    except GeometryBoundsError as exc:
-        raise ScenarioError(f"head: {exc}", head_line) from None
-    for req, lineno in requests:
-        try:
-            validate(geometry, req.address)
-        except GeometryBoundsError as exc:
-            raise ScenarioError(f"request: {exc}", lineno) from None
-    for spec, lineno in faults:
-        try:
-            validate(geometry, spec.address)
-        except GeometryBoundsError as exc:
-            raise ScenarioError(f"bad: {exc}", lineno) from None
-
-    return Scenario(
-        geometry=geometry,
-        initial_head=head_address,
-        requests=tuple(req for req, _ in requests),
-        faults=tuple(spec for spec, _ in faults),
-        direction_hints=tuple(hints),
-    )
+        return Scenario(
+            geometry=geometry,
+            initial_head=head,
+            requests=tuple(requests),
+            faults=tuple(faults),
+            direction_hints=tuple(hints),
+        )
+    except ScenarioError as exc:
+        directive, index = exc.entry
+        raise ScenarioError(str(exc), linenos[directive][index], exc.entry) from None
 
 
 def render_scenario(scenario: Scenario) -> str:

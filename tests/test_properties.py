@@ -7,18 +7,30 @@ platters, any sector count and any head position; one address is always
 requested at least three times and is usually bad.  SSTF: a small track
 pool makes equidistant neighbours, repeated tracks and a head on, below or
 above the pending tracks common, and the queue arrives ascending,
-descending or at random.
+descending or at random.  Parser: the bad-sector scenarios plus drawn
+direction hints round-trip through their text, and one injected content
+error is reported at its own line wherever the geometry line sits.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from plattersim.faults import FaultModel, FaultSpec
-from plattersim.geometry import DiskGeometry, PhysicalAddress
+from plattersim.geometry import DiskGeometry, PhysicalAddress, render_index
 from plattersim.metrics import replay, totals
 from plattersim.modsbsm import PROBE_LIMIT, execute
 from plattersim.oracle import verify_trace
 from plattersim.schedulers import ALGORITHM_NAMES, run_scheduler
-from plattersim.workload import MemoryRequest, Scenario
+from plattersim.workload import (
+    DIRECTION_HINT_NAMES,
+    DIRECTIONS,
+    MemoryRequest,
+    Scenario,
+    ScenarioError,
+    parse_scenario,
+    render_scenario,
+)
 
 
 @st.composite
@@ -147,3 +159,78 @@ def test_sstf_and_mrsa_match_the_rescanning_reference(scenario):
         assert list(run_scheduler(scenario, "mrsa").order) == reference
     else:
         assert run_scheduler(scenario, "mrsa").order == run_scheduler(scenario, "odsa").order
+
+
+@st.composite
+def hinted_scenarios(draw):
+    hints = draw(st.lists(
+        st.tuples(st.sampled_from(DIRECTION_HINT_NAMES), st.sampled_from(DIRECTIONS)),
+        max_size=4,
+        unique_by=lambda hint: hint[0],
+    ))
+    return replace(draw(scenarios()), direction_hints=tuple(hints))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hinted_scenarios())
+def test_raw_scenarios_round_trip_through_text(scenario):
+    assert parse_scenario(render_scenario(scenario)) == scenario
+
+
+ERROR_KINDS = (
+    "head", "request", "bad", "duplicate bad", "unknown hint", "bad direction", "duplicate hint"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hinted_scenarios(), st.sampled_from(ERROR_KINDS), st.data())
+def test_an_injected_content_error_names_its_line(scenario, kind, data):
+    g = scenario.geometry
+    lines = render_scenario(scenario).splitlines()
+    geometry_line = lines.pop(0)
+
+    def insert(text):
+        lines.insert(data.draw(st.integers(0, len(lines))), text)
+
+    # The error is reported at the occurrence-th line starting with prefix.
+    occurrence = 0
+    if kind in ("head", "request", "bad"):
+        component = data.draw(st.sampled_from(("track", "platter", "sector")))
+        address = {
+            "track": f"{g.num_tracks}t1p0s",
+            "platter": f"0t{g.num_platters + 1}p0s",
+            "sector": f"0t1p{g.sectors_per_track}s",
+        }[component]
+        prefix, fragment = f"{kind} {address}", f"{kind}: {component} "
+        if kind == "head":
+            lines[0] = prefix
+        else:
+            insert(prefix + (" bit=0" if kind == "bad" else ""))
+    elif kind == "duplicate bad":
+        address = render_index(scenario.initial_head)
+        prefix, fragment, occurrence = f"bad {address} ", f"duplicate bad entry for {address}", 1
+        insert(prefix + "bit=0")
+        if scenario.initial_head not in {spec.address for spec in scenario.faults}:
+            insert(prefix + "bit=1")
+    elif kind == "unknown hint":
+        prefix, fragment = "direction sstf=up", "unknown scheduler 'sstf'"
+        insert(prefix)
+    elif kind == "bad direction":
+        prefix, fragment = "direction scan=sideways", "got 'sideways'"
+        insert(prefix)
+    else:
+        name = scenario.direction_hints[0][0] if scenario.direction_hints else "scan"
+        prefix, fragment, occurrence = f"direction {name}=", f"duplicate direction hint for {name}", 1
+        insert(prefix + "up")
+        if not scenario.direction_hints:
+            insert(prefix + "down")
+    insert(geometry_line)
+    expected = [n for n, text in enumerate(lines, 1) if text.startswith(prefix)][occurrence]
+
+    try:
+        parse_scenario("\n".join(lines))
+    except ScenarioError as exc:
+        assert exc.line == expected, (str(exc), lines)
+        assert str(exc).startswith(f"line {expected}: ") and fragment in str(exc)
+    else:
+        raise AssertionError(f"{kind} error was accepted: {lines}")

@@ -1,8 +1,10 @@
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plattersim.faults import FaultSpec
 from plattersim.geometry import DiskGeometry, PhysicalAddress
 from plattersim.workload import (
     BUILTIN_CASE_IDS,
@@ -159,14 +161,36 @@ direction scan=up
             "platters=, tracks= and sectors=",
             1,
         ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\nrequest 5t0p1s\n",
+            "platter is numbered from 1, got 0",
+            3,
+        ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 1t0p1s\n",
+            "platter is numbered from 1, got 0",
+            2,
+        ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\nbad 5t0p1s bit=1\n",
+            "platter is numbered from 1, got 0",
+            3,
+        ),
     ],
 )
 def test_parse_errors_carry_context(text, fragment, line):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert fragment in str(exc.value)
+    assert exc.value.line == line
     if line is not None:
-        assert f"line {line}" in str(exc.value)
+        assert re.match(rf"line {line}: (?!line \d+:)", str(exc.value))
+
+
+def test_non_integer_geometry_field_carries_one_line_prefix():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("geometry platters=1 tracks=x sectors=8\nhead 0t1p0s\n")
+    assert str(exc.value) == "line 1: tracks must be an integer, got 'x'"
 
 
 def test_empty_scenario_parses_but_has_no_requests():
@@ -181,6 +205,34 @@ def test_duplicate_bad_entry_rejected():
     )
     with pytest.raises(ScenarioError, match="line 4: duplicate bad entry for 5t1p1s"):
         parse_scenario(text)
+
+
+def test_duplicate_bad_entry_is_named_in_canonical_form():
+    text = (
+        "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\n"
+        "bad 5t1p1s bit=0\nbad 05t1p01s bit=1\n"
+    )
+    with pytest.raises(ScenarioError, match="^line 4: duplicate bad entry for 5t1p1s$"):
+        parse_scenario(text)
+
+
+def test_scenario_construction_checks_content_and_names_the_entry():
+    geom = DiskGeometry(1, 10, 8)
+    head = PhysicalAddress(1, 1, 1)
+    reqs = tuple(
+        MemoryRequest(address=PhysicalAddress(t, 1, 1), arrival_rank=i)
+        for i, t in enumerate((3, 55))
+    )
+    with pytest.raises(ScenarioError) as exc:
+        Scenario(geometry=geom, initial_head=head, requests=reqs)
+    assert str(exc.value) == "request: track 55 out of range 0..9"
+    assert exc.value.entry == ("request", 1)
+    assert exc.value.line is None
+    fault = FaultSpec(PhysicalAddress(5, 1, 1), 0)
+    with pytest.raises(ScenarioError) as exc:
+        Scenario(geometry=geom, initial_head=head, requests=reqs[:1], faults=(fault, fault))
+    assert str(exc.value) == "duplicate bad entry for 5t1p1s"
+    assert exc.value.entry == ("bad", 1)
 
 
 def test_ten_thousand_bad_lines_parse_within_two_seconds():
