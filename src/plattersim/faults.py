@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, KeysView
 
-from .geometry import PhysicalAddress
+from .geometry import PhysicalAddress, render_index
 from .metrics import EnergyModel, energy_saved
 
 
@@ -43,9 +43,14 @@ class FaultModel:
         self._probes: dict[PhysicalAddress, int] = {}
         for spec in table:
             if spec.address in self._bits:
-                raise ValueError(f"duplicate fault entry for {spec.address}")
+                raise ValueError(f"duplicate fault entry for {render_index(spec.address)}")
             self._bits[spec.address] = spec.true_bit
             self._probes[spec.address] = 0
+
+    @property
+    def bad_addresses(self) -> KeysView[PhysicalAddress]:
+        """Read-only view of the table's addresses; probing them is :meth:`access`."""
+        return self._bits.keys()
 
     def access(self, address: PhysicalAddress) -> ProbeOutcome:
         """Physically probe an address; bad addresses count every probe."""

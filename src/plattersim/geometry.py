@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import Sequence
 
 _INDEX_RE = re.compile(r"(\d+)t(\d+)p(\d+)s")
 
@@ -113,3 +114,10 @@ def validate(geometry: DiskGeometry, address: PhysicalAddress) -> None:
         raise GeometryBoundsError(
             "sector", address.sector, 0, geometry.sectors_per_track - 1
         )
+
+
+def within(geometry: DiskGeometry, columns: Sequence[Sequence[int]]) -> bool:
+    """Whether all addresses in (track, platter, sector) columns pass :func:`validate`."""
+    tops = (geometry.num_tracks - 1, geometry.num_platters, geometry.sectors_per_track - 1)
+    return all(not col or (low <= min(col) and max(col) <= top)
+               for col, low, top in zip(columns, (0, 1, 0), tops))

@@ -11,9 +11,10 @@ device units:
 * ``transfer`` — one unit for the read/write itself plus the number of
   platter surfaces switched across, i.e. ``|Δplatter| + 1``.
 
-``replay`` prices a visit sequence from a fixed start position and is the
-single pricing authority: every scheduler, MODSBSM included, is priced by
-it, and the oracle and ``verify_trace`` use its one-step ``step_cost``.
+Pricing is one column kernel, ``step_costs``, with no Python call per step:
+it prices the steps of a walk given as (track, platter, sector) columns.
+``replay`` prices a visit sequence from a fixed start position with it, so
+it prices every scheduler, MODSBSM included, the oracle and ``verify_trace``.
 ``via`` waypoints are edge tracks the arm passes between two visits (SCAN
 turning at the disk edge, C-SCAN's full-stroke return); seek includes them.
 Aggregates follow the usual naming — TSKT (total seek), TRL (total
@@ -32,9 +33,11 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add, itemgetter, mod, sub
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .geometry import DiskGeometry, PhysicalAddress, validate
+from .geometry import DiskGeometry, PhysicalAddress, validate, within
 
 if TYPE_CHECKING:
     from .modsbsm import BadSectorEntry, DirectionDecision
@@ -70,25 +73,34 @@ class ServiceStep(NamedTuple):
         return self.seek + self.latency + self.transfer
 
 
-def step_cost(
-    prev: PhysicalAddress,
-    addr: PhysicalAddress,
-    sectors_per_track: int,
-    via: Sequence[int] = (),
-) -> tuple[int, int, int]:
-    """(seek, latency, transfer) from prev to addr, passing the ``via`` tracks.
+def columns(addresses: Sequence[PhysicalAddress]) -> list[list[int]]:
+    """The (track, platter, sector) columns of an address sequence."""
+    return [list(map(itemgetter(i), addresses)) for i in range(3)]
 
-    Arguments are not checked; :func:`replay` validates each address once.
+
+def step_costs(
+    sectors_per_track: int,
+    positions: Sequence[Sequence[int]],
+    via: Mapping[int, Sequence[int]] | None = None,
+) -> tuple[Iterable[int], Iterable[int], Iterable[int]]:
+    """Seek, latency and transfer of each step between consecutive positions.
+
+    ``positions`` are the (track, platter, sector) columns of a walk, its start
+    first; ``via`` maps a step to the tracks the arm passes on its way.  The
+    results are iterators, consumed once.  Arguments are not checked.
     """
-    track = prev.track
-    seek = 0
-    for waypoint in via:
-        seek += abs(waypoint - track)
-        track = waypoint
+    tracks, platters, sectors = positions
+    seeks = map(abs, map(sub, islice(tracks, 1, None), tracks))
+    if via:
+        seeks = list(seeks)
+        for k, waypoints in via.items():
+            if 0 <= k < len(seeks):
+                path = (tracks[k], *waypoints, tracks[k + 1])
+                seeks[k] = sum(map(abs, map(sub, path[1:], path)))
     return (
-        seek + abs(addr.track - track),
-        (addr.sector - prev.sector) % sectors_per_track,
-        abs(addr.platter - prev.platter) + 1,
+        seeks,
+        map(mod, map(sub, islice(sectors, 1, None), sectors), repeat(sectors_per_track)),
+        map(add, map(abs, map(sub, islice(platters, 1, None), platters)), repeat(1)),
     )
 
 
@@ -98,22 +110,21 @@ def replay(
     visits: Iterable[PhysicalAddress],
     via: Mapping[int, Sequence[int]] | None = None,
 ) -> list[ServiceStep]:
-    """Price a visit sequence step by step from the given head position.
+    """Price a visit sequence from the given head position.
 
     The reference position for each step is the previously visited address
     (the head starts at ``head``); ``via`` maps a 0-based visit position to
     the waypoints the arm passes on its way to that visit.
     """
     validate(geometry, head)
-    sectors = geometry.sectors_per_track
-    via = via or {}
-    steps: list[ServiceStep] = []
-    pos = head
-    for k, addr in enumerate(visits):
-        validate(geometry, addr)
-        steps.append(ServiceStep(addr, *step_cost(pos, addr, sectors, via.get(k, ()))))
-        pos = addr
-    return steps
+    path = [head, *visits]
+    positions = columns(path)
+    if not within(geometry, positions):
+        for addr in path[1:]:
+            validate(geometry, addr)
+    costs = step_costs(geometry.sectors_per_track, positions, via)
+    # tuple.__new__ builds each step in C; ServiceStep's own __new__ is Python.
+    return list(map(tuple.__new__, repeat(ServiceStep), zip(islice(path, 1, None), *costs)))
 
 
 @dataclass(frozen=True)
@@ -182,9 +193,9 @@ def totals(steps: Sequence[ServiceStep], request_count: int | None = None) -> Ac
     if request_count is None:
         request_count = len(steps)
     return AccessTotals(
-        tskt=sum(s.seek for s in steps),
-        trl=sum(s.latency for s in steps),
-        tdtt=sum(s.transfer for s in steps),
+        tskt=sum(map(itemgetter(1), steps)),
+        trl=sum(map(itemgetter(2), steps)),
+        tdtt=sum(map(itemgetter(3), steps)),
         request_count=request_count,
     )
 

@@ -5,19 +5,20 @@ the cheapest, so it is the ground truth any scheduler can be checked
 against — and also why it refuses queues longer than
 ``MAX_ORACLE_REQUESTS`` unless the caller raises the limit explicitly
 (nine requests already mean 362 880 orders, each summed from a table of
-step costs priced once).  Faults are ignored: the oracle prices ideal
-fault-free service.
+step costs priced once by the column kernel ``metrics.step_costs``).
+Faults are ignored: the oracle prices ideal fault-free service.
 
-``verify_trace`` re-prices a recorded trace from scratch.  Latency and
-transfer are fully determined by consecutive positions and must match
-exactly; seek only has to be at least the direct track distance, because
-the boundary-touching sweeps genuinely travel further than the straight
-line between consecutive requests.  Coverage: every requested address must
-be visited at least as often as it was requested, except that a bad
-address needs only ``min(requested, PROBE_LIMIT)`` visits, because MODSBSM
-answers later requests to it from its bad-sector table.  A trace of a
-fault-free scenario with exactly one step per request must visit each
-requested address exactly as often as it was requested.
+``verify_trace`` re-prices a recorded trace with the same kernel and
+compares whole columns in C.  Latency and transfer are fully determined by
+consecutive positions and must match exactly; seek only has to be at least
+the direct track distance, because the boundary-touching sweeps genuinely
+travel further than the straight line between consecutive requests.
+Coverage: every requested address must be visited at least as often as it
+was requested, except that a bad address needs only ``min(requested,
+PROBE_LIMIT)`` visits, because MODSBSM answers later requests to it from its
+bad-sector table.  A trace of a fault-free scenario with exactly one step
+per request must visit each requested address exactly as often as it was
+requested.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter, lt, ne, or_
 from typing import Sequence
 
-from .geometry import GeometryBoundsError, validate
-from .metrics import AccessTotals, ServiceStep, replay, step_cost, totals
+from .geometry import GeometryBoundsError, validate, within
+from .metrics import AccessTotals, ServiceStep, columns, replay, step_costs, totals
 from .modsbsm import PROBE_LIMIT
 from .workload import Scenario
 
@@ -55,14 +57,14 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Oracl
         raise OracleSizeError(
             f"{n} requests exceed the exhaustive-search cap of {limit}"
         )
-    sectors = scenario.geometry.sectors_per_track
     head = scenario.initial_head
-    targets = [req.address for req in scenario.requests]
-    # step[0][j] prices head -> request j, step[i + 1][j] request i -> request j
-    step = [
-        [sum(step_cost(prev, addr, sectors)) for addr in targets]
-        for prev in [head, *targets]
-    ]
+    targets = scenario.addresses
+    # step[0][j] prices head -> request j, step[i + 1][j] request i -> request j:
+    # the even steps of one walk through every (source, target) pair.
+    legs = list(itertools.chain.from_iterable(itertools.product((head, *targets), targets)))
+    walk = zip(*step_costs(scenario.geometry.sectors_per_track, columns(legs)))
+    costs = list(map(sum, itertools.islice(walk, 0, None, 2)))
+    step = [costs[i * n : (i + 1) * n] for i in range(n + 1)]
 
     best_cost: int | None = None
     best_perm: tuple[int, ...] | None = None
@@ -89,53 +91,47 @@ def verify_trace(
     """Re-price a trace and return a list of violations (empty when clean)."""
     geometry = scenario.geometry
     sectors = geometry.sectors_per_track
+    positions = columns([scenario.initial_head, *map(itemgetter(0), steps)])
+    min_seeks, latencies, transfers = step_costs(sectors, positions)
+    # A latency outside 0..sectors-1 differs from the re-priced one as well.
+    differ = map(ne, map(itemgetter(2, 3), steps), zip(latencies, transfers))
+    flagged = map(or_, differ, map(lt, map(itemgetter(1), steps), min_seeks))
+    if not within(geometry, positions):
+        flagged = itertools.repeat(True)  # a rogue address: check every step
     violations: list[str] = []
-    pos = scenario.initial_head
-    for k, step in enumerate(steps, 1):
+    for i in itertools.compress(range(len(steps)), flagged):
+        k, step = i + 1, steps[i]
         try:
             validate(geometry, step.address)
         except GeometryBoundsError as exc:
             violations.append(f"step {k}: address out of bounds ({exc})")
-            pos = step.address
             continue
-        min_seek, expected_latency, expected_transfer = step_cost(
-            pos, step.address, sectors
+        # Priced from the previous address, out of bounds or not.
+        (min_seek,), (expected_latency,), (expected_transfer,) = step_costs(
+            sectors, [col[i : i + 2] for col in positions]
         )
         if not 0 <= step.latency < sectors:
-            violations.append(
-                f"step {k}: latency {step.latency} outside 0..{sectors - 1}"
-            )
+            violations.append(f"step {k}: latency {step.latency} outside 0..{sectors - 1}")
         if step.latency != expected_latency:
-            violations.append(
-                f"step {k}: latency {step.latency} != re-priced {expected_latency}"
-            )
+            violations.append(f"step {k}: latency {step.latency} != re-priced {expected_latency}")
         if step.transfer != expected_transfer:
             violations.append(
                 f"step {k}: transfer {step.transfer} != re-priced {expected_transfer}"
             )
         if step.seek < min_seek:
-            violations.append(
-                f"step {k}: seek {step.seek} below track distance {min_seek}"
-            )
-        pos = step.address
+            violations.append(f"step {k}: seek {step.seek} below track distance {min_seek}")
 
     if run_totals is not None:
-        sums = (
-            sum(s.seek for s in steps),
-            sum(s.latency for s in steps),
-            sum(s.transfer for s in steps),
-        )
+        sums = tuple(sum(map(itemgetter(field), steps)) for field in (1, 2, 3))
         recorded = (run_totals.tskt, run_totals.trl, run_totals.tdtt)
         for name, got, want in zip(("tskt", "trl", "tdtt"), recorded, sums):
             if got != want:
                 violations.append(f"totals: {name} {got} != step sum {want}")
         if run_totals.tdat != sum(sums):
-            violations.append(
-                f"totals: tdat {run_totals.tdat} != tskt+trl+tdtt {sum(sums)}"
-            )
+            violations.append(f"totals: tdat {run_totals.tdat} != tskt+trl+tdtt {sum(sums)}")
 
-    requested = Counter(req.address for req in scenario.requests)
-    visited = Counter(step.address for step in steps)
+    requested = Counter(scenario.addresses)
+    visited = Counter(map(itemgetter(0), steps))
     bad = {spec.address for spec in scenario.faults}
     # Sort only the short addresses: a clean trace then pays no sort.
     short = [
@@ -144,9 +140,8 @@ def verify_trace(
         if visited[address] < (min(count, PROBE_LIMIT) if address in bad else count)
     ]
     for address, count in sorted(short):
-        violations.append(
-            f"coverage: {address} requested {count} times, visited {visited[address]}"
-        )
-    if not bad and len(steps) == len(scenario.requests) and visited != requested:
+        violations.append(f"coverage: {address} requested {count} times, visited {visited[address]}")
+    # Counted occurrences are never zero, so the items compare as the Counters do, in C.
+    if not bad and len(steps) == len(scenario.requests) and visited.items() != requested.items():
         violations.append("coverage: trace is not a permutation of the request queue")
     return violations

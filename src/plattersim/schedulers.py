@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from itertools import compress, repeat
+from operator import contains, getitem, not_
 from typing import Callable, Sequence
 
 from . import modsbsm
-from .faults import FaultModel, ProbeOutcome
+from .faults import FaultModel
 from .metrics import SchedulerRun, replay, totals
 from .workload import DIRECTION_HINT_NAMES, DIRECTIONS, Scenario
 
@@ -55,8 +57,9 @@ Plan = tuple[list[int], dict[int, tuple[int, ...]]]
 def _groups(scenario: Scenario) -> list[tuple[int, list[int]]]:
     """Pending queue as (track, arrival ranks) groups, tracks ascending."""
     by_track: dict[int, list[int]] = {}
-    for req in scenario.requests:
-        by_track.setdefault(req.address.track, []).append(req.arrival_rank)
+    # The requests' own rank objects: enumerate would allocate one int per rank.
+    for req, track in zip(scenario.requests, scenario.tracks):
+        by_track.setdefault(track, []).append(req.arrival_rank)
     return sorted(by_track.items())
 
 
@@ -226,24 +229,25 @@ def retry_at_tail(
     extrapolation for the baseline schedulers, which have no bad-sector
     handling of their own; every attempt is a physical probe.
     """
-    queue = deque(order)
+    addresses = scenario.addresses
+    bad_rank = list(map(contains, repeat(faults.bad_addresses), addresses))
+    failing = list(map(getitem, repeat(bad_rank), order))
+    # Readable requests are served on their planned visit; only failures queue.
+    queue = deque(compress(order, failing))
     attempts: dict[int, int] = {}
-    visits: list[int] = []
-    served: list[int] = []
+    retried: list[int] = []
     abandoned: list[int] = []
     while queue:
         rank = queue.popleft()
-        visits.append(rank)
-        address = scenario.requests[rank].address
-        if faults.access(address) is ProbeOutcome.READABLE:
-            served.append(rank)
-            continue
+        faults.access(addresses[rank])
         attempts[rank] = attempts.get(rank, 0) + 1
         if attempts[rank] < RETRY_LIMIT:
             queue.append(rank)
+            retried.append(rank)
         else:
             abandoned.append(rank)
-    return visits, served, abandoned
+    served = list(compress(order, map(not_, failing)))
+    return [*order, *retried], served, abandoned
 
 
 def run_scheduler(
@@ -275,7 +279,7 @@ def run_scheduler(
         fault_model = FaultModel(scenario.faults)
         visit_ranks, _, abandoned = retry_at_tail(order, scenario, fault_model)
         note = "failed visits retried at queue tail"
-    addresses = [scenario.requests[rank].address for rank in visit_ranks]
+    addresses = list(map(getitem, repeat(scenario.addresses), visit_ranks))
     steps = replay(scenario.geometry, scenario.initial_head, addresses, via)
     return SchedulerRun(
         algorithm=algorithm,

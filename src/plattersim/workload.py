@@ -30,6 +30,8 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter, itemgetter
 
 from .faults import FaultSpec
 from .geometry import (
@@ -135,9 +137,14 @@ class Scenario:
                 return direction
         return None
 
-    @property
+    @cached_property
+    def addresses(self) -> tuple[PhysicalAddress, ...]:
+        """Request addresses in arrival order, gathered once per scenario."""
+        return tuple(map(attrgetter("address"), self.requests))
+
+    @cached_property
     def tracks(self) -> tuple[int, ...]:
-        return tuple(req.address.track for req in self.requests)
+        return tuple(map(itemgetter(0), self.addresses))
 
     @property
     def queue_ascending(self) -> bool:

@@ -1,0 +1,283 @@
+"""Column pricing against the per-visit loops it replaced (``reference_loops``).
+
+Raw scenarios repeat addresses, mark some bad, and put the head anywhere,
+the disk edges included.  Every plan is replayed through its ``via``
+waypoints, the faulty ones after ``retry_at_tail``; traces are then
+tampered with (latency, transfer, seek, an out-of-bounds address, a cut)
+before ``verify_trace`` checks them.  A last test counts Python-level
+calls to show that no layer makes one per visit.
+"""
+
+import gc
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_loops as ref
+from plattersim.faults import FaultModel, FaultSpec
+from plattersim.geometry import DiskGeometry, GeometryBoundsError, PhysicalAddress
+from plattersim.metrics import ServiceStep, replay, totals
+from plattersim.oracle import verify_trace
+from plattersim.schedulers import (
+    ALGORITHM_NAMES,
+    SWEEP_NAMES,
+    _plan,
+    retry_at_tail,
+    run_scheduler,
+)
+from plattersim.workload import GeneratorParams, MemoryRequest, Scenario, generate
+
+
+def _addresses(geometry):
+    return st.builds(
+        PhysicalAddress,
+        st.integers(0, geometry.num_tracks - 1),
+        st.integers(1, geometry.num_platters),
+        st.integers(0, geometry.sectors_per_track - 1),
+    )
+
+
+def _outside(geometry):
+    """Addresses that ``validate`` rejects, one component out of range."""
+    return st.one_of(
+        st.builds(
+            PhysicalAddress,
+            st.integers(geometry.num_tracks, geometry.num_tracks + 3),
+            st.integers(1, geometry.num_platters),
+            st.integers(0, geometry.sectors_per_track - 1),
+        ),
+        st.builds(
+            PhysicalAddress,
+            st.integers(0, geometry.num_tracks - 1),
+            st.integers(geometry.num_platters + 1, geometry.num_platters + 2),
+            st.integers(0, geometry.sectors_per_track - 1),
+        ),
+        st.builds(
+            PhysicalAddress,
+            st.integers(0, geometry.num_tracks - 1),
+            st.integers(1, geometry.num_platters),
+            st.integers(geometry.sectors_per_track, geometry.sectors_per_track + 2),
+        ),
+    )
+
+
+@st.composite
+def scenarios(draw):
+    geometry = DiskGeometry(
+        draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    )
+    address = _addresses(geometry)
+    pool = draw(st.lists(address, min_size=1, max_size=5, unique=True))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    bad = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+    top = geometry.num_tracks - 1
+    head_track = draw(st.sampled_from([0, top, draw(st.integers(0, top))]))
+    head = PhysicalAddress(
+        head_track,
+        draw(st.integers(1, geometry.num_platters)),
+        draw(st.integers(0, geometry.sectors_per_track - 1)),
+    )
+    return Scenario(
+        geometry=geometry,
+        initial_head=head,
+        requests=tuple(MemoryRequest(address=a, arrival_rank=i) for i, a in enumerate(picks)),
+        faults=tuple(FaultSpec(a, draw(st.integers(0, 1))) for a in bad),
+    )
+
+
+def _plans(scenario):
+    """(algorithm, direction, order, via) of every baseline, each sweep both ways."""
+    for algorithm in ALGORITHM_NAMES:
+        if algorithm == "modsbsm":
+            continue
+        for direction in ("up", "down") if algorithm in SWEEP_NAMES else (None,):
+            yield (algorithm, direction, *_plan(scenario, algorithm, direction, False))
+
+
+def _probes(scenario, faults):
+    return [faults.probe_count(spec.address) for spec in scenario.faults]
+
+
+def _outcome(fn, *args):
+    """What a call returned, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (GeometryBoundsError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_plans_price_retry_and_total_as_the_per_visit_loops(scenario):
+    n = len(scenario.requests)
+    for algorithm, direction, order, via in _plans(scenario):
+        faults, ref_faults = FaultModel(scenario.faults), FaultModel(scenario.faults)
+        driven = retry_at_tail(order, scenario, faults)
+        assert driven == ref.retry_at_tail(order, scenario, ref_faults), algorithm
+        assert _probes(scenario, faults) == _probes(scenario, ref_faults), algorithm
+
+        visits = [scenario.requests[rank].address for rank in driven[0]]
+        steps = replay(scenario.geometry, scenario.initial_head, visits, via)
+        assert steps == ref.replay(scenario.geometry, scenario.initial_head, visits, via)
+        assert all(type(s) is ServiceStep for s in steps)
+        assert totals(steps, n).as_tuple()[:3] == ref.totals_tuple(steps)
+
+        run = run_scheduler(scenario, algorithm, direction=direction)
+        assert run.steps == tuple(steps), algorithm
+    run = run_scheduler(scenario, "modsbsm")
+    assert list(run.steps) == ref.replay(scenario.geometry, scenario.initial_head, run.visits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(), st.data())
+def test_retry_at_tail_matches_the_deque_loop_on_repeated_ranks(scenario, data):
+    n = len(scenario.requests)
+    order = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+    faults, ref_faults = FaultModel(scenario.faults), FaultModel(scenario.faults)
+    assert retry_at_tail(order, scenario, faults) == ref.retry_at_tail(order, scenario, ref_faults)
+    assert _probes(scenario, faults) == _probes(scenario, ref_faults)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(), st.data())
+def test_replay_prices_any_via_and_raises_as_the_per_visit_loop(scenario, data):
+    geometry = scenario.geometry
+    address = st.one_of(_addresses(geometry), _outside(geometry))
+    head = data.draw(st.one_of(st.just(scenario.initial_head), address))
+    visits = data.draw(st.lists(address, max_size=8))
+    via = data.draw(st.dictionaries(
+        st.integers(-2, len(visits) + 1),
+        st.lists(st.integers(0, geometry.num_tracks - 1), max_size=3),
+        max_size=3,
+    ))
+    assert _outcome(replay, geometry, head, visits, via) == _outcome(
+        ref.replay, geometry, head, visits, via
+    )
+
+
+@st.composite
+def _tampered(draw, scenario, steps):
+    steps = list(steps)
+    for _ in range(draw(st.integers(0, 3))):
+        if not steps:
+            break
+        i = draw(st.integers(0, len(steps) - 1))
+        kind = draw(st.sampled_from(["latency", "transfer", "seek", "rogue", "cut"]))
+        delta = draw(st.integers(-4, 4).filter(bool))
+        step = steps[i]
+        if kind == "rogue":
+            steps[i] = step._replace(address=draw(_outside(scenario.geometry)))
+        elif kind == "cut":
+            steps = steps[:i]
+        else:
+            steps[i] = step._replace(**{kind: getattr(step, kind) + delta})
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(), st.data())
+def test_verify_trace_reports_tampered_traces_as_the_per_step_loop(scenario, data):
+    algorithm = data.draw(st.sampled_from(ALGORITHM_NAMES))
+    run = run_scheduler(scenario, algorithm)
+    trace = data.draw(_tampered(scenario, run.steps))
+    assert verify_trace(scenario, trace) == ref.verify_trace(scenario, trace)
+    assert verify_trace(scenario, trace, run.totals) == ref.verify_trace(scenario, trace, run.totals)
+
+
+GEOMETRY = DiskGeometry(2, 10, 4)
+IN = PhysicalAddress(5, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "head, visits, message",
+    [
+        (PhysicalAddress(10, 1, 0), [PhysicalAddress(3, 3, 0)], "track 10 out of range 0..9"),
+        (IN, [PhysicalAddress(3, 3, 0), IN, PhysicalAddress(12, 1, 0)], "platter 3 out of range 1..2"),
+        (IN, [IN, PhysicalAddress(9, 2, 3), PhysicalAddress(3, 1, 4)], "sector 4 out of range 0..3"),
+    ],
+    ids=["head", "first-visit", "last-visit"],
+)
+def test_replay_raises_for_the_first_address_out_of_bounds(head, visits, message):
+    with pytest.raises(GeometryBoundsError) as raised:
+        replay(GEOMETRY, head, visits)
+    assert type(raised.value) is GeometryBoundsError
+    assert str(raised.value) == message
+
+
+def test_verify_trace_lists_two_tampered_steps_around_a_rogue_address():
+    scenario = Scenario(
+        geometry=DiskGeometry(4, 200, 8),
+        initial_head=PhysicalAddress(50, 1, 0),
+        requests=tuple(
+            MemoryRequest(address=PhysicalAddress(*a), arrival_rank=i)
+            for i, a in enumerate([(52, 1, 1), (60, 2, 3), (40, 1, 7), (45, 3, 2)])
+        ),
+    )
+    steps = list(run_scheduler(scenario, "fcfs").steps)
+    steps[0] = steps[0]._replace(latency=9, seek=1)
+    steps[1] = steps[1]._replace(address=PhysicalAddress(200, 2, 3))
+    steps[2] = steps[2]._replace(transfer=5)
+    assert verify_trace(scenario, steps) == [
+        "step 1: latency 9 outside 0..7",
+        "step 1: latency 9 != re-priced 1",
+        "step 1: seek 1 below track distance 2",
+        "step 2: address out of bounds (track 200 out of range 0..199)",
+        "step 3: transfer 5 != re-priced 2",
+        "step 3: seek 20 below track distance 160",
+        "coverage: PhysicalAddress(track=60, platter=2, sector=3) requested 1 times, visited 0",
+        "coverage: trace is not a permutation of the request queue",
+    ]
+
+
+def _calls(fn):
+    """Python-level function calls (profile ``call`` events) made while ``fn`` runs.
+
+    The collector is off meanwhile: its callbacks (Hypothesis installs one)
+    run once per collection, and collections grow with the allocations.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls
+
+
+def _clean_pass(n):
+    geometry = DiskGeometry(4, 1000, 16)
+    scenario = generate(geometry, GeneratorParams(request_count=n, seed=3))
+    # A fault table whose address no request touches: every visit is clean,
+    # and verify_trace still checks the fault-free scenario's permutation rule.
+    requested = {req.address for req in scenario.requests}
+    unused = next(
+        PhysicalAddress(t, 1, 0) for t in range(geometry.num_tracks)
+        if PhysicalAddress(t, 1, 0) not in requested
+    )
+    order = list(range(n))
+    via = {n // 2: (0,)}
+
+    def run():
+        visits, _, _ = retry_at_tail(order, scenario, FaultModel([FaultSpec(unused, 1)]))
+        addresses = [scenario.requests[rank].address for rank in visits]
+        steps = replay(geometry, scenario.initial_head, addresses, via)
+        run_totals = totals(steps, n)
+        assert verify_trace(scenario, steps, run_totals) == []
+
+    return run
+
+
+def test_no_python_call_per_visit():
+    small, large = _clean_pass(10**3), _clean_pass(10**4)
+    small(), large()  # warm the ABC caches that Counter's first isinstance fills
+    assert _calls(small) == _calls(large)
