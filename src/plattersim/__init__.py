@@ -35,14 +35,11 @@ from .metrics import (
 from .modsbsm import (
     BadSectorEntry,
     DirectionDecision,
-    arrange,
-    bsm,
     decide_direction,
     execute,
 )
 from .oracle import (
     MAX_ORACLE_REQUESTS,
-    OracleResult,
     OracleSizeError,
     optimal_order,
     verify_trace,
@@ -93,7 +90,6 @@ __all__ = [
     "IndexSyntaxError",
     "MAX_ORACLE_REQUESTS",
     "MemoryRequest",
-    "OracleResult",
     "OracleSizeError",
     "PhysicalAddress",
     "ProbeOutcome",
@@ -105,8 +101,6 @@ __all__ = [
     "SchedulerRun",
     "ServiceStep",
     "TRADITIONAL_ALGORITHMS",
-    "arrange",
-    "bsm",
     "builtin_case",
     "compare_builtin_suite",
     "compare_scenario",

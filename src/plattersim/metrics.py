@@ -24,7 +24,7 @@ rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 ``ServiceStep``, like :class:`~plattersim.geometry.PhysicalAddress`, is a
 named tuple, so hashing and equality run in C and a step compares equal to
 the plain tuple of its fields.  ``SchedulerRun`` is the one record of a
-scheduler run, baseline or MODSBSM.
+run, baseline, MODSBSM or oracle.
 """
 
 from __future__ import annotations
@@ -160,22 +160,30 @@ class AccessTotals:
 
 @dataclass(frozen=True)
 class SchedulerRun:
-    """Everything one scheduler did on one scenario.
+    """Everything one scheduler, or the oracle, did on one scenario.
 
-    ``decisions`` holds MODSBSM's per-pass direction choices; baselines
-    leave it empty, as they leave the bad-sector table.
+    ``decisions`` holds MODSBSM's per-pass direction choices; baselines and
+    the oracle leave it empty, as they leave the bad-sector table.
     """
 
     algorithm: str
     order: tuple[int, ...]
-    visits: tuple[PhysicalAddress, ...]
     steps: tuple[ServiceStep, ...]
     totals: AccessTotals
-    passes: int = 1
     bad_sector_table: tuple[BadSectorEntry, ...] = ()
     abandoned: tuple[int, ...] = ()
     note: str = ""
     decisions: tuple[DirectionDecision, ...] = ()
+
+    @property
+    def visits(self) -> tuple[PhysicalAddress, ...]:
+        """The steps' addresses: every physical visit, failed probes included."""
+        return tuple(map(itemgetter(0), self.steps))
+
+    @property
+    def passes(self) -> int:
+        """One per MODSBSM decision; every other run makes one pass."""
+        return len(self.decisions) or 1
 
     @property
     def resolved(self) -> tuple[PhysicalAddress, ...]:
@@ -222,7 +230,7 @@ class EnergyModel:
 def energy_saved(projected_accesses: int, model: EnergyModel = EnergyModel()) -> tuple[float, float]:
     """(energy, heat) of ``n - 2`` of ``n = projected_accesses`` reads, counted as avoided.
 
-    ``modsbsm.bsm`` probes a third time before it finalizes the entry, so the
+    MODSBSM probes a third time before it finalizes the entry, so the
     figure overstates the saving by one read per address (only ``n - 3`` are
     avoided); acceptance criterion 8 freezes it: ``energy_saved(5) == (300.0, 3.0)``.
     """

@@ -1,16 +1,17 @@
 """Cylinder-ordered servicing with staged bad-sector retirement (MODSBSM).
 
-The scheduler sorts the pending queue by track, jumps to whichever extreme
-track is closer (no service on the way there), then sweeps once across the
-span servicing whole cylinders.  Unreadable sectors are not retried in
-place: the request is carried to the next pass.  Failures count per
-address, not per request, so after the address's second failed probe it
-enters a prescribed-bit table.  The next request to reach the address
-resolves it — one last probe fixes the stored bit and the entry is
-finalized — and every later request to it is answered from the table
-without touching the platter.  No bad address is ever probed more than
-``PROBE_LIMIT`` (three) times; when the queue repeats an address, all three
-probes can fall in one pass.
+Each pass jumps to whichever extreme pending track is closer (no service on
+the way there), then sweeps once across the span servicing whole cylinders.
+A pass is one keyed sort of the pending arrival ranks: tracks follow the
+sweep; within a track, sectors ascend either way (the platter spins one way
+only) and platters ascend within a sector.  Requests to one address keep
+their queue order.  An unreadable sector is not retried in place: its
+request is carried to the next pass.  The bad-sector lifecycle is one count
+of probes per address, not per request: 1 means failed once, 2 tables the
+address as ``temporary``, and ``PROBE_LIMIT`` (three) fixes its prescribed
+bit and finalizes it as ``permanent``.  Every later request to it is
+answered from the table without touching the platter; when the queue
+repeats an address, all three probes can fall in one pass.
 
 Direction choice per pass: with LD = head − min(track) and RD =
 max(track) − head (both signed), LD < RD picks the ascending sweep and
@@ -24,12 +25,13 @@ The passes record their visits; :func:`plattersim.metrics.replay` prices them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Protocol, Sequence
+from operator import neg
+from typing import ClassVar, Iterable
 
-from .faults import FaultModel, ProbeOutcome
+from .faults import FaultModel
 from .geometry import PhysicalAddress
-from .metrics import SchedulerRun, replay, totals
-from .workload import MemoryRequest, Scenario
+from .metrics import SchedulerRun, columns, replay, totals
+from .workload import Scenario
 
 ASCENDING = "up"
 DESCENDING = "down"
@@ -64,31 +66,9 @@ def decide_direction(
     return DirectionDecision(to_min, to_max, chosen, tie=True)
 
 
-class _Addressed(Protocol):
-    address: PhysicalAddress
-
-
-def arrange(requests: Sequence[_Addressed], direction: str) -> list:
-    """Order pending requests for one sweep.
-
-    Tracks follow the sweep direction; within a track, sectors stay in
-    ascending rotation order regardless of sweep direction (the platter
-    only spins one way, so ascending prices cheapest either way), and
-    platters ascend within a sector so a whole cylinder is finished before
-    the arm moves on.  Exact duplicates keep their queue order.
-    """
-    if direction == ASCENDING:
-        key = lambda r: (r.address.track, r.address.sector, r.address.platter)
-    elif direction == DESCENDING:
-        key = lambda r: (-r.address.track, r.address.sector, r.address.platter)
-    else:
-        raise ValueError(f"direction must be {ASCENDING} or {DESCENDING}, got {direction!r}")
-    return sorted(requests, key=key)
-
-
-@dataclass
+@dataclass(frozen=True)
 class BadSectorEntry:
-    """Lifecycle record for one address that failed two probes.
+    """Table record for one address that failed two probes.
 
     ``bsi`` (the failures that tabled it) is always 2, and the entry is
     ``temporary`` until its last probe finalizes it as ``permanent``.
@@ -104,21 +84,6 @@ class BadSectorEntry:
         return "permanent" if self.finalized else "temporary"
 
 
-def bsm(entry: BadSectorEntry, faults: FaultModel) -> None:
-    """Serve a tabled bad address, finalizing it on its third (last) probe.
-
-    A finalized entry is answered straight from the table.  Otherwise the
-    address is probed once more; if the prescribed bit disagrees with the
-    sector's true content it is corrected, and either way the entry is
-    finalized.
-    """
-    if entry.finalized:
-        return
-    faults.access(entry.index)
-    entry.prescribed_bit = faults.true_bit(entry.index)
-    entry.finalized = 1
-
-
 def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> SchedulerRun:
     """Run the scheduler over a scenario until the pending queue drains.
 
@@ -127,57 +92,64 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     across passes.  ``order`` lists arrival ranks in the order requests were
     actually served; a request answered from a finalized table entry is
     served without a physical step.  The run record carries the per-pass
-    ``decisions`` and the bad-sector table as well.
+    ``decisions`` and the bad-sector table as well, which lists addresses in
+    the order their second failure tabled them.
     """
     if not scenario.requests:
         raise ValueError("scenario has no requests")
     faults = fault_model if fault_model is not None else FaultModel(scenario.faults)
-    pos = scenario.initial_head
-    pending: list[MemoryRequest] = list(scenario.requests)
-    failed_once: set[PhysicalAddress] = set()
-    table: dict[PhysicalAddress, BadSectorEntry] = {}
+    bad = faults.bad_addresses
+    addresses = scenario.addresses
+    tracks, platters, sectors = columns(addresses)
+    sort_keys = {
+        ASCENDING: list(zip(tracks, sectors, platters)),
+        DESCENDING: list(zip(map(neg, tracks), sectors, platters)),
+    }
+    probes: dict[PhysicalAddress, int] = {}
+    tabled: list[PhysicalAddress] = []
+    pending = list(range(len(addresses)))
     visits: list[PhysicalAddress] = []
     served: list[int] = []
     decisions: list[DirectionDecision] = []
+    track = scenario.initial_head.track
     last_move: str | None = None
-    passes = 0
 
     while pending:
-        passes += 1
-        decision = decide_direction(
-            pos.track, (req.address.track for req in pending), last_move
-        )
+        decision = decide_direction(track, map(tracks.__getitem__, pending), last_move)
         decisions.append(decision)
-        carry: list[MemoryRequest] = []
-        for req in arrange(pending, decision.chosen):
-            addr = req.address
-            entry = table.get(addr)
-            if entry is not None and entry.finalized:
-                served.append(req.arrival_rank)
-                continue
+        carry: list[int] = []
+        for rank in sorted(pending, key=sort_keys[decision.chosen].__getitem__):
+            addr = addresses[rank]
+            failed = addr in bad
+            if failed:
+                count = probes.get(addr, 0) + 1
+                if count > PROBE_LIMIT:  # finalized: answered from the table
+                    served.append(rank)
+                    continue
+                probes[addr] = count
+                faults.access(addr)
+                if count == 2:
+                    tabled.append(addr)
             visits.append(addr)
-            if addr.track != pos.track:
-                last_move = ASCENDING if addr.track > pos.track else DESCENDING
-            pos = addr
-            if entry is not None:
-                bsm(entry, faults)
-            elif faults.access(addr) is ProbeOutcome.UNREADABLE:
-                if addr in failed_once:
-                    table[addr] = BadSectorEntry(index=addr, prescribed_bit=0, finalized=0)
-                failed_once.add(addr)
-                carry.append(req)
-                continue
-            served.append(req.arrival_rank)
+            if tracks[rank] != track:
+                last_move = ASCENDING if tracks[rank] > track else DESCENDING
+                track = tracks[rank]
+            if failed and count < PROBE_LIMIT:
+                carry.append(rank)
+            else:
+                served.append(rank)
         pending = carry
 
     steps = replay(scenario.geometry, scenario.initial_head, visits)
     return SchedulerRun(
         algorithm="modsbsm",
-        steps=tuple(steps),
-        totals=totals(steps, len(scenario.requests)),
         order=tuple(served),
-        visits=tuple(visits),
-        passes=passes,
+        steps=tuple(steps),
+        totals=totals(steps, len(addresses)),
+        # A tabled address is carried to the next pass, whose probe finalizes it.
+        bad_sector_table=tuple(
+            BadSectorEntry(index=addr, prescribed_bit=faults.true_bit(addr), finalized=1)
+            for addr in tabled
+        ),
         decisions=tuple(decisions),
-        bad_sector_table=tuple(table.values()),
     )

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter, lt, ne, or_
 from typing import Sequence
 
 from .geometry import GeometryBoundsError, validate, within
-from .metrics import AccessTotals, ServiceStep, columns, replay, step_costs, totals
+from .metrics import AccessTotals, SchedulerRun, ServiceStep, columns, replay, step_costs, totals
 from .modsbsm import PROBE_LIMIT
 from .workload import Scenario
 
@@ -41,15 +40,11 @@ class OracleSizeError(ValueError):
     """Queue too long for exhaustive search at the given limit."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    order: tuple[int, ...]
-    steps: tuple[ServiceStep, ...]
-    totals: AccessTotals
+def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> SchedulerRun:
+    """Cheapest service order by exhaustive search; ties break lexicographically.
 
-
-def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> OracleResult:
-    """Cheapest service order by exhaustive search; ties break lexicographically."""
+    The result is the run record of algorithm ``"oracle"``.
+    """
     n = len(scenario.requests)
     if n == 0:
         raise ValueError("scenario has no requests")
@@ -80,7 +75,7 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Oracl
 
     addresses = [targets[i] for i in best_perm]
     steps = replay(scenario.geometry, head, addresses)
-    return OracleResult(order=best_perm, steps=tuple(steps), totals=totals(steps))
+    return SchedulerRun("oracle", best_perm, tuple(steps), totals(steps))
 
 
 def verify_trace(

@@ -211,8 +211,6 @@ def _plan(
         return _sweep_plan(scenario, algorithm, resolved)
     if direction is not None:
         raise ValueError(f"direction only applies to {', '.join(SWEEP_NAMES)}")
-    if algorithm not in PLANS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     return PLANS[algorithm](scenario)
 
 
@@ -284,7 +282,6 @@ def run_scheduler(
     return SchedulerRun(
         algorithm=algorithm,
         order=tuple(order),
-        visits=tuple(addresses),
         steps=tuple(steps),
         totals=totals(steps, len(scenario.requests)),
         abandoned=tuple(abandoned),

@@ -2,20 +2,23 @@
 
 Each function is the package's earlier implementation, written one visit
 at a time: ``replay`` priced and validated each step with a scalar
-``step_cost``, ``verify_trace`` re-priced each step, and ``retry_at_tail``
-drove every visit through a deque.  The differential tests check that the
-column versions in ``plattersim`` return the same values, messages,
-exceptions and probe counts.
+``step_cost``, ``verify_trace`` re-priced each step, ``retry_at_tail``
+drove every visit through a deque, and ``modsbsm_execute`` ran MODSBSM on
+request objects, sorting each pass with ``arrange`` and resolving tabled
+addresses with ``bsm``.  The differential tests check that the versions in
+``plattersim`` return the same values, messages, exceptions, bad-sector
+tables and probe counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import dataclass
 
-from plattersim.faults import ProbeOutcome
+from plattersim.faults import FaultModel, ProbeOutcome
 from plattersim.geometry import GeometryBoundsError, validate
 from plattersim.metrics import ServiceStep
-from plattersim.modsbsm import PROBE_LIMIT
+from plattersim.modsbsm import ASCENDING, DESCENDING, PROBE_LIMIT, decide_direction
 from plattersim.schedulers import RETRY_LIMIT
 
 
@@ -120,3 +123,72 @@ def retry_at_tail(order, scenario, faults):
         else:
             abandoned.append(rank)
     return visits, served, abandoned
+
+
+def arrange(requests, direction):
+    """Order pending requests for one sweep, ties in queue order."""
+    if direction == ASCENDING:
+        key = lambda r: (r.address.track, r.address.sector, r.address.platter)
+    elif direction == DESCENDING:
+        key = lambda r: (-r.address.track, r.address.sector, r.address.platter)
+    else:
+        raise ValueError(f"direction must be {ASCENDING} or {DESCENDING}, got {direction!r}")
+    return sorted(requests, key=key)
+
+
+@dataclass
+class MutableEntry:
+    index: object
+    prescribed_bit: int
+    finalized: int
+
+
+def bsm(entry, faults):
+    """Probe a tabled, unfinalized address a last time and finalize it."""
+    if entry.finalized:
+        return
+    faults.access(entry.index)
+    entry.prescribed_bit = faults.true_bit(entry.index)
+    entry.finalized = 1
+
+
+def modsbsm_execute(scenario, faults=None):
+    """(order, visits, steps, decisions, table entries as (index, bit, finalized))."""
+    faults = faults if faults is not None else FaultModel(scenario.faults)
+    pos = scenario.initial_head
+    pending = list(scenario.requests)
+    failed_once = set()
+    table = {}
+    visits = []
+    served = []
+    decisions = []
+    last_move = None
+
+    while pending:
+        decision = decide_direction(pos.track, (req.address.track for req in pending), last_move)
+        decisions.append(decision)
+        carry = []
+        for req in arrange(pending, decision.chosen):
+            addr = req.address
+            entry = table.get(addr)
+            if entry is not None and entry.finalized:
+                served.append(req.arrival_rank)
+                continue
+            visits.append(addr)
+            if addr.track != pos.track:
+                last_move = ASCENDING if addr.track > pos.track else DESCENDING
+            pos = addr
+            if entry is not None:
+                bsm(entry, faults)
+            elif faults.access(addr) is ProbeOutcome.UNREADABLE:
+                if addr in failed_once:
+                    table[addr] = MutableEntry(index=addr, prescribed_bit=0, finalized=0)
+                failed_once.add(addr)
+                carry.append(req)
+                continue
+            served.append(req.arrival_rank)
+        pending = carry
+
+    steps = replay(scenario.geometry, scenario.initial_head, visits)
+    entries = [(e.index, e.prescribed_bit, e.finalized) for e in table.values()]
+    return served, visits, steps, decisions, entries

@@ -13,9 +13,6 @@ from plattersim.modsbsm import (
     ASCENDING,
     DESCENDING,
     PROBE_LIMIT,
-    BadSectorEntry,
-    arrange,
-    bsm,
     decide_direction,
     execute,
 )
@@ -56,31 +53,6 @@ def _reqs(triples):
         MemoryRequest(address=PhysicalAddress(*t), arrival_rank=i)
         for i, t in enumerate(triples)
     )
-
-
-def test_arrange_keeps_sectors_ascending_both_ways():
-    reqs = _reqs([(10, 1, 6), (10, 1, 1), (20, 1, 4), (20, 1, 0)])
-    up = arrange(reqs, ASCENDING)
-    assert [(r.address.track, r.address.sector) for r in up] == [
-        (10, 1), (10, 6), (20, 0), (20, 4),
-    ]
-    down = arrange(reqs, DESCENDING)
-    assert [(r.address.track, r.address.sector) for r in down] == [
-        (20, 0), (20, 4), (10, 1), (10, 6),
-    ]
-
-
-def test_arrange_finishes_a_cylinder_platter_by_platter():
-    reqs = _reqs([(10, 3, 2), (10, 1, 2), (10, 2, 5), (10, 2, 2)])
-    ordered = arrange(reqs, ASCENDING)
-    assert [(r.address.sector, r.address.platter) for r in ordered] == [
-        (2, 1), (2, 2), (2, 3), (5, 2),
-    ]
-
-
-def test_arrange_rejects_nonsense_direction():
-    with pytest.raises(ValueError):
-        arrange(_reqs([(1, 1, 1)]), "diagonally")
 
 
 def test_case2_run_and_latency_sequence():
@@ -164,27 +136,6 @@ def test_prescribed_bit_kept_when_it_already_matches():
     assert fault_model.probe_count(bad) == 3
 
 
-def test_bsm_serves_finalized_entries_without_probing():
-    address = PhysicalAddress(5, 1, 1)
-    faults = FaultModel([FaultSpec(address, 1)])
-    entry = BadSectorEntry(index=address, prescribed_bit=1, finalized=1)
-    bsm(entry, faults)
-    assert entry.finalized == 1 and entry.classification == "permanent"
-    assert entry.prescribed_bit == 1
-    assert faults.probe_count(address) == 0
-
-
-def test_bsm_finalizes_on_first_call_when_unfinalized():
-    address = PhysicalAddress(5, 1, 1)
-    faults = FaultModel([FaultSpec(address, 0)])
-    entry = BadSectorEntry(index=address, prescribed_bit=1, finalized=0)
-    bsm(entry, faults)
-    assert entry.finalized == 1
-    assert entry.prescribed_bit == 0  # inverted to match the platter
-    assert entry.classification == "permanent"
-    assert faults.probe_count(address) == 1
-
-
 def test_multiple_bad_sectors_resolve_independently():
     scenario = builtin_case(5)
     bad_a = parse_index("98t4p6s")
@@ -203,13 +154,43 @@ def test_multiple_bad_sectors_resolve_independently():
     assert sorted(result.order) == list(range(20))
 
 
-def _faulty(head, triples, bad):
+def _faulty(head, triples, bad, geometry=DiskGeometry(4, 200, 8)):
     return Scenario(
-        geometry=DiskGeometry(4, 200, 8),
+        geometry=geometry,
         initial_head=PhysicalAddress(*head),
         requests=_reqs(triples),
         faults=tuple(FaultSpec(PhysicalAddress(*t), 1) for t in bad),
     )
+
+
+def _visited(head, triples):
+    return [(a.track, a.platter, a.sector) for a in execute(_faulty(head, triples, bad=[])).visits]
+
+
+def test_execute_keeps_sectors_ascending_both_ways():
+    queue = [(10, 1, 6), (10, 1, 1), (20, 1, 4), (20, 1, 0)]
+    # Head below the span: one upward pass; above it: one downward pass.
+    assert _visited((0, 1, 0), queue) == [(10, 1, 1), (10, 1, 6), (20, 1, 0), (20, 1, 4)]
+    assert _visited((30, 1, 0), queue) == [(20, 1, 0), (20, 1, 4), (10, 1, 1), (10, 1, 6)]
+
+
+def test_execute_finishes_a_cylinder_platter_by_platter():
+    queue = [(10, 3, 2), (10, 1, 2), (10, 2, 5), (10, 2, 2)]
+    assert _visited((0, 1, 0), queue) == [(10, 1, 2), (10, 2, 2), (10, 3, 2), (10, 2, 5)]
+    assert _visited((30, 1, 0), queue) == [(10, 1, 2), (10, 2, 2), (10, 3, 2), (10, 2, 5)]
+
+
+def test_table_lists_addresses_in_the_order_their_second_failure_tabled_them():
+    # A fails first, but B's repeat tables B in pass 1; A is tabled in pass 2
+    # (downward, after B is finalized) and finalized in pass 3.
+    a, b = PhysicalAddress(10, 1, 0), PhysicalAddress(20, 1, 0)
+    sc = _faulty((0, 1, 0), [a, b, b], bad=[a, b], geometry=DiskGeometry(1, 100, 8))
+    fault_model = FaultModel(sc.faults)
+    result = execute(sc, fault_model)
+    assert [e.index for e in result.bad_sector_table] == [b, a]
+    assert [e.classification for e in result.bad_sector_table] == ["permanent"] * 2
+    assert [fault_model.probe_count(x) for x in (a, b)] == [PROBE_LIMIT] * 2
+    assert result.passes == 3
 
 
 def test_repeated_bad_address_is_probed_three_times_in_all():

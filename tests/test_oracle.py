@@ -42,6 +42,9 @@ def test_oracle_matches_independent_enumeration():
             best = key
     assert result.totals.tdat == best[0]
     assert result.order == best[1]
+    # The oracle's record is a one-pass run record.
+    assert (result.algorithm, result.passes) == ("oracle", 1)
+    assert result.visits == tuple(sc.addresses[i] for i in best[1])
 
 
 def test_oracle_ties_break_lexicographically():

@@ -10,12 +10,15 @@ above the pending tracks common, and the queue arrives ascending,
 descending or at random.  Parser: the bad-sector scenarios plus drawn
 direction hints round-trip through their text, and one injected content
 error is reported at its own line wherever the geometry line sits.
+MODSBSM: the bad-sector scenarios, and the same with the head on an edge
+track, run the same as the request-object reference engine.
 """
 
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+import reference_loops as ref
 from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, PhysicalAddress, render_index
 from plattersim.metrics import replay, totals
@@ -86,6 +89,29 @@ def test_bad_addresses_probed_at_most_three_times_and_traces_verify(scenario):
         assert sorted(run.order) == ranks, algorithm
         assert run.totals == totals(run.steps, requests), algorithm
         assert verify_trace(scenario, run.steps, run.totals) == [], algorithm
+
+
+@st.composite
+def edge_head_scenarios(draw):
+    scenario = draw(scenarios())
+    edge = draw(st.sampled_from((0, scenario.geometry.num_tracks - 1)))
+    return replace(scenario, initial_head=scenario.initial_head._replace(track=edge))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(scenarios(), edge_head_scenarios()))
+def test_execute_matches_the_request_object_reference(scenario):
+    fault_model, ref_faults = FaultModel(scenario.faults), FaultModel(scenario.faults)
+    result = execute(scenario, fault_model)
+    order, visits, steps, decisions, entries = ref.modsbsm_execute(scenario, ref_faults)
+    assert list(result.order) == order
+    assert list(result.visits) == visits
+    assert list(result.steps) == steps
+    assert result.totals == totals(steps, len(scenario.requests))
+    assert list(result.decisions) == decisions
+    assert [(e.index, e.prescribed_bit, e.finalized) for e in result.bad_sector_table] == entries
+    bad = [spec.address for spec in scenario.faults]
+    assert list(map(fault_model.probe_count, bad)) == list(map(ref_faults.probe_count, bad))
 
 
 def _sstf_reference(scenario):
