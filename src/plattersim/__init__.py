@@ -23,6 +23,7 @@ from .metrics import (
     EnergyModel,
     SchedulerRun,
     ServiceStep,
+    Trace,
     energy_saved,
     improvement,
     replay,
@@ -101,6 +102,7 @@ __all__ = [
     "SchedulerRun",
     "ServiceStep",
     "TRADITIONAL_ALGORITHMS",
+    "Trace",
     "builtin_case",
     "compare_builtin_suite",
     "compare_scenario",

@@ -21,21 +21,24 @@ Aggregates follow the usual naming — TSKT (total seek), TRL (total
 rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 (TDAT per request).
 
-``ServiceStep``, like :class:`~plattersim.geometry.PhysicalAddress`, is a
-named tuple, so hashing and equality run in C and a step compares equal to
-the plain tuple of its fields.  ``SchedulerRun`` is the one record of a
-run, baseline, MODSBSM or oracle.
+``replay`` returns a ``Trace``, the visits and the three cost columns, read
+as ``ServiceStep`` rows built only on access.  ``ServiceStep``, like
+:class:`~plattersim.geometry.PhysicalAddress`, is a named tuple, so hashing
+and equality run in C and a step compares equal to the plain tuple of its
+fields.  ``SchedulerRun``, the one record of a run, baseline, MODSBSM or
+oracle, keeps its ``Trace`` as ``steps``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import add, itemgetter, mod, sub
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from operator import add, attrgetter, eq, itemgetter, mod, sub
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import DiskGeometry, PhysicalAddress, validate, within
 
@@ -73,9 +76,58 @@ class ServiceStep(NamedTuple):
         return self.seek + self.latency + self.transfer
 
 
-def columns(addresses: Sequence[PhysicalAddress]) -> list[list[int]]:
-    """The (track, platter, sector) columns of an address sequence."""
-    return [list(map(itemgetter(i), addresses)) for i in range(3)]
+_COLUMNS = attrgetter("visits", "seeks", "latencies", "transfers")
+
+
+class Trace(Sequence):
+    """A run's steps as four tuples: visited addresses, seeks, latencies, transfers.
+
+    A read-only sequence of ``ServiceStep`` rows, each built when it is read;
+    a slice is a ``Trace``.  It equals any sequence of the same steps, and
+    hashes as their tuple.
+    """
+
+    __slots__ = ("visits", "seeks", "latencies", "transfers")
+
+    def __init__(self, visits, seeks, latencies, transfers):
+        self.visits, self.seeks, self.latencies, self.transfers = visits, seeks, latencies, transfers
+
+    @classmethod
+    def of(cls, steps: Iterable[Sequence]) -> Trace:
+        """``steps`` as a Trace: a Trace as it is, other steps turned into columns once."""
+        if isinstance(steps, Trace):
+            return steps
+        steps = steps if isinstance(steps, Sequence) else tuple(steps)
+        return cls(*(tuple(map(itemgetter(i), steps)) for i in range(4)))
+
+    def __len__(self) -> int:
+        return len(self.visits)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(*(column[index] for column in _COLUMNS(self)))
+        return tuple.__new__(ServiceStep, [column[index] for column in _COLUMNS(self)])
+
+    def __iter__(self):
+        # tuple.__new__ builds each step in C; ServiceStep's own __new__ is Python.
+        return map(tuple.__new__, repeat(ServiceStep), zip(*_COLUMNS(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return _COLUMNS(self) == _COLUMNS(other)
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def columns(addresses: Sequence[PhysicalAddress], head: PhysicalAddress | None = None) -> list[list[int]]:
+    """The (track, platter, sector) columns of an address sequence, ``head`` first if given."""
+    if head is None:
+        return [list(map(itemgetter(i), addresses)) for i in range(3)]
+    return [[start, *map(itemgetter(i), addresses)] for i, start in enumerate(head)]
 
 
 def step_costs(
@@ -109,7 +161,7 @@ def replay(
     head: PhysicalAddress,
     visits: Iterable[PhysicalAddress],
     via: Mapping[int, Sequence[int]] | None = None,
-) -> list[ServiceStep]:
+) -> Trace:
     """Price a visit sequence from the given head position.
 
     The reference position for each step is the previously visited address
@@ -117,14 +169,13 @@ def replay(
     the waypoints the arm passes on its way to that visit.
     """
     validate(geometry, head)
-    path = [head, *visits]
-    positions = columns(path)
+    visits = tuple(visits)
+    positions = columns(visits, head)
     if not within(geometry, positions):
-        for addr in path[1:]:
+        for addr in visits:
             validate(geometry, addr)
     costs = step_costs(geometry.sectors_per_track, positions, via)
-    # tuple.__new__ builds each step in C; ServiceStep's own __new__ is Python.
-    return list(map(tuple.__new__, repeat(ServiceStep), zip(islice(path, 1, None), *costs)))
+    return Trace(visits, *map(tuple, costs))
 
 
 @dataclass(frozen=True)
@@ -168,7 +219,7 @@ class SchedulerRun:
 
     algorithm: str
     order: tuple[int, ...]
-    steps: tuple[ServiceStep, ...]
+    steps: Trace
     totals: AccessTotals
     bad_sector_table: tuple[BadSectorEntry, ...] = ()
     abandoned: tuple[int, ...] = ()
@@ -178,7 +229,7 @@ class SchedulerRun:
     @property
     def visits(self) -> tuple[PhysicalAddress, ...]:
         """The steps' addresses: every physical visit, failed probes included."""
-        return tuple(map(itemgetter(0), self.steps))
+        return Trace.of(self.steps).visits
 
     @property
     def passes(self) -> int:
@@ -198,14 +249,9 @@ def totals(steps: Sequence[ServiceStep], request_count: int | None = None) -> Ac
     their queue length, so ADAT stays TDAT per request when failed probes
     add visits or table answers save them.
     """
-    if request_count is None:
-        request_count = len(steps)
-    return AccessTotals(
-        tskt=sum(map(itemgetter(1), steps)),
-        trl=sum(map(itemgetter(2), steps)),
-        tdtt=sum(map(itemgetter(3), steps)),
-        request_count=request_count,
-    )
+    trace = Trace.of(steps)
+    count = len(trace) if request_count is None else request_count
+    return AccessTotals(sum(trace.seeks), sum(trace.latencies), sum(trace.transfers), count)
 
 
 def improvement(baseline_adats: Iterable[float], candidate_adat: float) -> float:
@@ -251,11 +297,7 @@ def trace_csv(steps: Sequence[ServiceStep]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TRACE_CSV_HEADER.split(","))
-    for k, s in enumerate(steps, 1):
-        writer.writerow(
-            [k, s.address.track, s.address.platter, s.address.sector,
-             s.seek, s.latency, s.transfer, s.access]
-        )
+    writer.writerows([k, *s.address, *s[1:], s.access] for k, s in enumerate(steps, 1))
     return out.getvalue()
 
 

@@ -25,7 +25,8 @@ The passes record their visits; :func:`plattersim.metrics.replay` prices them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from itertools import compress, filterfalse, repeat
+from operator import add, contains, mul, sub
 from typing import ClassVar, Iterable
 
 from .faults import FaultModel
@@ -98,13 +99,18 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     if not scenario.requests:
         raise ValueError("scenario has no requests")
     faults = fault_model if fault_model is not None else FaultModel(scenario.faults)
-    bad = faults.bad_addresses
     addresses = scenario.addresses
     tracks, platters, sectors = columns(addresses)
+    # One int per rank orders as (±track, sector, platter) does: sector·P +
+    # platter lies in 1..S·P, one track's width.
+    g = scenario.geometry
+    within_track = list(map(add, map(mul, sectors, repeat(g.num_platters)), platters))
+    track_part = list(map(mul, tracks, repeat(g.sectors_per_track * g.num_platters)))
     sort_keys = {
-        ASCENDING: list(zip(tracks, sectors, platters)),
-        DESCENDING: list(zip(map(neg, tracks), sectors, platters)),
+        ASCENDING: list(map(add, within_track, track_part)),
+        DESCENDING: list(map(sub, within_track, track_part)),
     }
+    bad_rank = list(map(contains, repeat(faults.bad_addresses), addresses))
     probes: dict[PhysicalAddress, int] = {}
     tabled: list[PhysicalAddress] = []
     pending = list(range(len(addresses)))
@@ -117,34 +123,38 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     while pending:
         decision = decide_direction(track, map(tracks.__getitem__, pending), last_move)
         decisions.append(decision)
+        ordered = sorted(pending, key=sort_keys[decision.chosen].__getitem__)
+        # Only bad ranks need a decision: answered from the table, or carried.
+        answered: set[int] = set()
         carry: list[int] = []
-        for rank in sorted(pending, key=sort_keys[decision.chosen].__getitem__):
+        for rank in compress(ordered, map(bad_rank.__getitem__, ordered)):
             addr = addresses[rank]
-            failed = addr in bad
-            if failed:
-                count = probes.get(addr, 0) + 1
-                if count > PROBE_LIMIT:  # finalized: answered from the table
-                    served.append(rank)
-                    continue
-                probes[addr] = count
-                faults.access(addr)
-                if count == 2:
-                    tabled.append(addr)
-            visits.append(addr)
-            if tracks[rank] != track:
-                last_move = ASCENDING if tracks[rank] > track else DESCENDING
-                track = tracks[rank]
-            if failed and count < PROBE_LIMIT:
+            count = probes.get(addr, 0) + 1
+            if count > PROBE_LIMIT:  # finalized: served without touching the platter
+                answered.add(rank)
+                continue
+            probes[addr] = count
+            faults.access(addr)
+            if count == 2:
+                tabled.append(addr)
+            if count < PROBE_LIMIT:
                 carry.append(rank)
-            else:
-                served.append(rank)
+        visited = list(filterfalse(answered.__contains__, ordered))
+        visits.extend(map(addresses.__getitem__, visited))
+        served.extend(filterfalse(set(carry).__contains__, ordered))
+        # After the jump to its start a sweep is monotone: its first and last
+        # tracks give the arm's position and its last move.
+        for t in (tracks[visited[0]], tracks[visited[-1]]) if visited else ():
+            if t != track:
+                last_move = ASCENDING if t > track else DESCENDING
+                track = t
         pending = carry
 
     steps = replay(scenario.geometry, scenario.initial_head, visits)
     return SchedulerRun(
         algorithm="modsbsm",
         order=tuple(served),
-        steps=tuple(steps),
+        steps=steps,
         totals=totals(steps, len(addresses)),
         # A tabled address is carried to the next pass, whose probe finalizes it.
         bad_sector_table=tuple(

@@ -8,28 +8,28 @@ against — and also why it refuses queues longer than
 step costs priced once by the column kernel ``metrics.step_costs``).
 Faults are ignored: the oracle prices ideal fault-free service.
 
-``verify_trace`` re-prices a recorded trace with the same kernel and
-compares whole columns in C.  Latency and transfer are fully determined by
-consecutive positions and must match exactly; seek only has to be at least
-the direct track distance, because the boundary-touching sweeps genuinely
-travel further than the straight line between consecutive requests.
-Coverage: every requested address must be visited at least as often as it
-was requested, except that a bad address needs only ``min(requested,
-PROBE_LIMIT)`` visits, because MODSBSM answers later requests to it from its
-bad-sector table.  A trace of a fault-free scenario with exactly one step
-per request must visit each requested address exactly as often as it was
-requested.
+``verify_trace`` reads any steps as a column ``Trace``, re-prices its visits
+with the same kernel and compares whole columns in C.  Latency and transfer
+are fully determined by consecutive positions and must match exactly; seek
+only has to be at least the direct track distance, because the
+boundary-touching sweeps genuinely travel further than the straight line
+between consecutive requests.  Coverage: every requested address must be
+visited at least as often as it was requested, except that a bad address
+needs only ``min(requested, PROBE_LIMIT)`` visits, because MODSBSM answers
+later requests to it from its bad-sector table.  A trace of a fault-free
+scenario with exactly one step per request must visit each requested address
+exactly as often as it was requested.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import itemgetter, lt, ne, or_
+from operator import lt, ne, or_
 from typing import Sequence
 
 from .geometry import GeometryBoundsError, validate, within
-from .metrics import AccessTotals, SchedulerRun, ServiceStep, columns, replay, step_costs, totals
+from .metrics import AccessTotals, SchedulerRun, ServiceStep, Trace, columns, replay, step_costs, totals
 from .modsbsm import PROBE_LIMIT
 from .workload import Scenario
 
@@ -75,27 +75,26 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Sched
 
     addresses = [targets[i] for i in best_perm]
     steps = replay(scenario.geometry, head, addresses)
-    return SchedulerRun("oracle", best_perm, tuple(steps), totals(steps))
+    return SchedulerRun("oracle", best_perm, steps, totals(steps))
 
 
 def verify_trace(
-    scenario: Scenario,
-    steps: Sequence[ServiceStep],
-    run_totals: AccessTotals | None = None,
+    scenario: Scenario, steps: Sequence[ServiceStep], run_totals: AccessTotals | None = None
 ) -> list[str]:
     """Re-price a trace and return a list of violations (empty when clean)."""
+    trace = Trace.of(steps)
     geometry = scenario.geometry
     sectors = geometry.sectors_per_track
-    positions = columns([scenario.initial_head, *map(itemgetter(0), steps)])
+    positions = columns(trace.visits, scenario.initial_head)
     min_seeks, latencies, transfers = step_costs(sectors, positions)
     # A latency outside 0..sectors-1 differs from the re-priced one as well.
-    differ = map(ne, map(itemgetter(2, 3), steps), zip(latencies, transfers))
-    flagged = map(or_, differ, map(lt, map(itemgetter(1), steps), min_seeks))
+    differ = map(or_, map(ne, trace.latencies, latencies), map(ne, trace.transfers, transfers))
+    flagged = map(or_, differ, map(lt, trace.seeks, min_seeks))
     if not within(geometry, positions):
         flagged = itertools.repeat(True)  # a rogue address: check every step
     violations: list[str] = []
-    for i in itertools.compress(range(len(steps)), flagged):
-        k, step = i + 1, steps[i]
+    for i in itertools.compress(range(len(trace)), flagged):
+        k, step = i + 1, trace[i]
         try:
             validate(geometry, step.address)
         except GeometryBoundsError as exc:
@@ -110,14 +109,12 @@ def verify_trace(
         if step.latency != expected_latency:
             violations.append(f"step {k}: latency {step.latency} != re-priced {expected_latency}")
         if step.transfer != expected_transfer:
-            violations.append(
-                f"step {k}: transfer {step.transfer} != re-priced {expected_transfer}"
-            )
+            violations.append(f"step {k}: transfer {step.transfer} != re-priced {expected_transfer}")
         if step.seek < min_seek:
             violations.append(f"step {k}: seek {step.seek} below track distance {min_seek}")
 
     if run_totals is not None:
-        sums = tuple(sum(map(itemgetter(field), steps)) for field in (1, 2, 3))
+        sums = (sum(trace.seeks), sum(trace.latencies), sum(trace.transfers))
         recorded = (run_totals.tskt, run_totals.trl, run_totals.tdtt)
         for name, got, want in zip(("tskt", "trl", "tdtt"), recorded, sums):
             if got != want:
@@ -125,8 +122,8 @@ def verify_trace(
         if run_totals.tdat != sum(sums):
             violations.append(f"totals: tdat {run_totals.tdat} != tskt+trl+tdtt {sum(sums)}")
 
-    requested = Counter(scenario.addresses)
-    visited = Counter(map(itemgetter(0), steps))
+    requested = scenario.requested
+    visited = Counter(trace.visits)
     bad = {spec.address for spec in scenario.faults}
     # Sort only the short addresses: a clean trace then pays no sort.
     short = [
@@ -137,6 +134,6 @@ def verify_trace(
     for address, count in sorted(short):
         violations.append(f"coverage: {address} requested {count} times, visited {visited[address]}")
     # Counted occurrences are never zero, so the items compare as the Counters do, in C.
-    if not bad and len(steps) == len(scenario.requests) and visited.items() != requested.items():
+    if not bad and len(trace) == len(scenario.requests) and visited.items() != requested.items():
         violations.append("coverage: trace is not a permutation of the request queue")
     return violations

@@ -13,8 +13,10 @@ Same-track requests follow the queue convention described in
 :mod:`plattersim.workload`: the pending queue is a track-sorted list kept
 in the arrival sequence's direction, and the arm reads a track's group
 forward when it crosses the track moving with that direction, backward
-when it crosses against it.  FCFS ignores all of this and services the
-queue as it arrived.
+when it crosses against it.  ``Scenario.sweeps`` lays the queue out once,
+every group read moving up and moving down, so a sweep plan is two slices
+split at the head track, and SSTF takes one group slice per step.  FCFS
+ignores all of this and services the queue as it arrived.
 
 The peer policies are all LOOK variants differing only in how the initial
 direction is picked:
@@ -31,7 +33,7 @@ direction is picked:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import compress, repeat
 from operator import contains, getitem, not_
@@ -54,117 +56,77 @@ RETRY_LIMIT = 3  # attempts per request before retry_at_tail abandons it
 Plan = tuple[list[int], dict[int, tuple[int, ...]]]
 
 
-def _groups(scenario: Scenario) -> list[tuple[int, list[int]]]:
-    """Pending queue as (track, arrival ranks) groups, tracks ascending."""
-    by_track: dict[int, list[int]] = {}
-    # The requests' own rank objects: enumerate would allocate one int per rank.
-    for req, track in zip(scenario.requests, scenario.tracks):
-        by_track.setdefault(track, []).append(req.arrival_rank)
-    return sorted(by_track.items())
-
-
-def _serve(ranks: Sequence[int], moving_up: bool, queue_ascending: bool) -> list[int]:
-    # Crossing the track with the queue's sort direction reads the group
-    # forward; crossing against it reads the group from the other end.
-    if moving_up == queue_ascending:
-        return list(ranks)
-    return list(reversed(ranks))
-
-
 def _fcfs_plan(scenario: Scenario) -> Plan:
     return list(range(len(scenario.requests))), {}
 
 
 def _sstf_plan(scenario: Scenario) -> Plan:
-    # The served tracks always form a contiguous run of the sorted groups with
-    # the head at one end, so the nearest pending track is groups[left] (just
-    # below the run) or groups[right] (just above); a tie goes to the lower.
-    qa = scenario.queue_ascending
-    groups = _groups(scenario)
-    tracks = [t for t, _ in groups]
+    # The served tracks always form a contiguous run of the track groups with
+    # the head at one end, so the nearest pending track is tracks[left] (just
+    # below the run) or tracks[right] (just above); a tie goes to the lower.
+    tracks, starts, up, down = scenario.sweeps
+    n = len(up)
     cur = scenario.initial_head.track
     right = bisect_left(tracks, cur)
     left = right - 1
     order: list[int] = []
-    moving_up = qa  # zero movement counts as moving with the queue
+    moving_up = scenario.queue_ascending  # zero movement counts as moving with the queue
     while left >= 0 or right < len(tracks):
         if right == len(tracks) or (left >= 0 and cur - tracks[left] <= tracks[right] - cur):
-            t, ranks = groups[left]
-            left -= 1
+            g, left = left, left - 1
         else:
-            t, ranks = groups[right]
-            right += 1
-        if t != cur:
-            moving_up = t > cur
-        order.extend(_serve(ranks, moving_up, qa))
-        cur = t
+            g, right = right, right + 1
+        if tracks[g] != cur:
+            moving_up = tracks[g] > cur
+            cur = tracks[g]
+        start, end = starts[g], starts[g + 1]
+        order += up[start:end] if moving_up else down[n - end : n - start]
     return order, {}
 
 
 def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
-    groups = _groups(scenario)
-    qa = scenario.queue_ascending
+    # Two slices of the sweep lists, split where the head track falls: the
+    # groups on the first leg's side of the head, then the rest.
+    tracks, starts, up, down = scenario.sweeps
+    n = len(up)
     head_track = scenario.initial_head.track
-    top = scenario.geometry.num_tracks - 1
-    down = direction == "down"
-
-    if down:
-        first = [g for g in groups if g[0] <= head_track][::-1]
-        rest = [g for g in groups if g[0] > head_track]
-        first_moving = False
+    turns = variant in ("scan", "look")  # cscan / clook continue in the original direction
+    if direction == "down":
+        k = starts[bisect_right(tracks, head_track)]  # requests at or below the head
+        first, second = down[n - k :], up[k:] if turns else down[: n - k]
     else:
-        first = [g for g in groups if g[0] >= head_track]
-        rest = [g for g in groups if g[0] < head_track][::-1]
-        first_moving = True
-    if variant in ("scan", "look"):
-        second, second_moving = rest, not first_moving
-    else:  # cscan / clook continue in the original direction
-        second, second_moving = rest[::-1], first_moving
-
-    order: list[int] = []
-    for _, ranks in first:
-        order.extend(_serve(ranks, first_moving, qa))
-    boundary_at = len(order)
-    for _, ranks in second:
-        order.extend(_serve(ranks, second_moving, qa))
+        k = starts[bisect_left(tracks, head_track)]  # requests below the head
+        first, second = up[k:], down[n - k :] if turns else up[:k]
 
     via: dict[int, tuple[int, ...]] = {}
     if second and variant in ("scan", "cscan"):
-        edge, far_edge = (0, top) if down else (top, 0)
-        via[boundary_at] = (edge,) if variant == "scan" else (edge, far_edge)
-    return order, via
+        top = scenario.geometry.num_tracks - 1
+        edge, far_edge = (0, top) if direction == "down" else (top, 0)
+        via[len(first)] = (edge,) if variant == "scan" else (edge, far_edge)
+    return first + second, via
 
 
-def _odsa_plan(scenario: Scenario) -> Plan:
-    tracks = scenario.tracks
-    head_track = scenario.initial_head.track
-    to_min = head_track - min(tracks)
-    to_max = max(tracks) - head_track
-    # toward the nearer extreme; a tie goes down
-    return _sweep_plan(scenario, "look", "up" if to_max < to_min else "down")
+def _look_plan(pick: Callable[[int, int, int], str]) -> Callable[[Scenario], Plan]:
+    """LOOK from the direction ``pick(head track, lowest, highest pending track)`` names."""
+
+    def plan(scenario: Scenario) -> Plan:
+        tracks = scenario.sweeps[0]
+        return _sweep_plan(scenario, "look", pick(scenario.initial_head.track, tracks[0], tracks[-1]))
+
+    return plan
+
+
+# toward the nearer extreme; a tie goes down
+_odsa_plan = _look_plan(lambda head, low, high: "up" if high - head < head - low else "down")
 
 
 def _mrsa_plan(scenario: Scenario) -> Plan:
-    tracks = sorted(scenario.tracks)
-    n = len(tracks)
-    low, high = tracks[(n - 1) // 2], tracks[n // 2]
+    # The median window: the two middle values of the sorted track list.
+    tracks, up = scenario.tracks, scenario.sweeps[2]
+    low, high = tracks[up[(len(up) - 1) // 2]], tracks[up[len(up) // 2]]
     if low <= scenario.initial_head.track <= high:
         return _sstf_plan(scenario)
     return _odsa_plan(scenario)
-
-
-def _smcc_plan(scenario: Scenario) -> Plan:
-    tracks = scenario.tracks
-    midpoint = (min(tracks) + max(tracks)) / 2
-    direction = "down" if scenario.initial_head.track < midpoint else "up"
-    return _sweep_plan(scenario, "look", direction)
-
-
-def _rp10_plan(scenario: Scenario) -> Plan:
-    tracks = scenario.tracks
-    span = max(tracks) - min(tracks)
-    direction = "down" if scenario.initial_head.track >= span else "up"
-    return _sweep_plan(scenario, "look", direction)
 
 
 # Plans of the baselines that pick their own direction; the four sweeps
@@ -174,8 +136,8 @@ PLANS: dict[str, Callable[[Scenario], Plan]] = {
     "sstf": _sstf_plan,
     "odsa": _odsa_plan,
     "hdsa": _odsa_plan,  # alias: hdsa runs the same policy as odsa
-    "rp10": _rp10_plan,
-    "smcc": _smcc_plan,
+    "rp10": _look_plan(lambda head, low, high: "down" if head >= high - low else "up"),
+    "smcc": _look_plan(lambda head, low, high: "down" if head < (low + high) / 2 else "up"),
     "mrsa": _mrsa_plan,
 }
 
@@ -198,12 +160,7 @@ def resolve_direction(
     return DEFAULT_SWEEP_DIRECTION
 
 
-def _plan(
-    scenario: Scenario,
-    algorithm: str,
-    direction: str | None,
-    use_hints: bool,
-) -> Plan:
+def _plan(scenario: Scenario, algorithm: str, direction: str | None, use_hints: bool) -> Plan:
     if not scenario.requests:
         raise ValueError("scenario has no requests")
     if algorithm in SWEEP_NAMES:
@@ -277,12 +234,12 @@ def run_scheduler(
         fault_model = FaultModel(scenario.faults)
         visit_ranks, _, abandoned = retry_at_tail(order, scenario, fault_model)
         note = "failed visits retried at queue tail"
-    addresses = list(map(getitem, repeat(scenario.addresses), visit_ranks))
+    addresses = map(scenario.addresses.__getitem__, visit_ranks)
     steps = replay(scenario.geometry, scenario.initial_head, addresses, via)
     return SchedulerRun(
         algorithm=algorithm,
         order=tuple(order),
-        steps=tuple(steps),
+        steps=steps,
         totals=totals(steps, len(scenario.requests)),
         abandoned=tuple(abandoned),
         note=note,

@@ -28,10 +28,11 @@ forward or backward depending on which way the head crosses the track.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from itertools import compress
+from operator import attrgetter, ge, gt, itemgetter, ne
 
 from .faults import FaultSpec
 from .geometry import (
@@ -146,14 +147,34 @@ class Scenario:
     def tracks(self) -> tuple[int, ...]:
         return tuple(map(itemgetter(0), self.addresses))
 
-    @property
+    @cached_property
+    def requested(self) -> Counter[PhysicalAddress]:
+        """How often each address is requested (a shared count: do not change it)."""
+        return Counter(self.addresses)
+
+    @cached_property
     def queue_ascending(self) -> bool:
         """Direction the pending queue is kept sorted in (see module doc)."""
         t = self.tracks
-        descending = all(a >= b for a, b in zip(t, t[1:])) and any(
-            a > b for a, b in zip(t, t[1:])
-        )
-        return not descending
+        return not (all(map(ge, t, t[1:])) and any(map(gt, t, t[1:])))
+
+    @cached_property
+    def sweeps(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """``(tracks, starts, up, down)``: the queue laid out once for every plan.
+
+        ``up`` lists the arrival ranks by ascending track, each group read as the
+        arm moving up reads it; ``down`` is its mirror.  Distinct ``tracks`` ascend;
+        group ``g`` is ``up[starts[g]:starts[g + 1]]``, and ``starts[-1]`` is ``n``.
+        """
+        # The requests' own rank objects: range would allocate one int per rank.
+        ranks = list(map(attrgetter("arrival_rank"), self.requests))
+        # A stable sort reads each group in arrival order; a descending queue
+        # already is its down list, every group read forward moving down.
+        up = sorted(ranks, key=self.tracks.__getitem__) if self.queue_ascending else ranks[::-1]
+        up_tracks = list(map(self.tracks.__getitem__, up))
+        firsts = list(map(ne, up_tracks, [None, *up_tracks]))
+        starts = [*compress(range(len(up)), firsts), len(up)]
+        return list(compress(up_tracks, firsts)), starts, up, up[::-1]
 
 
 GENERATOR_ORDERS = ("ascending", "descending", "random")

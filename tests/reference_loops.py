@@ -5,13 +5,16 @@ at a time: ``replay`` priced and validated each step with a scalar
 ``step_cost``, ``verify_trace`` re-priced each step, ``retry_at_tail``
 drove every visit through a deque, and ``modsbsm_execute`` ran MODSBSM on
 request objects, sorting each pass with ``arrange`` and resolving tabled
-addresses with ``bsm``.  The differential tests check that the versions in
-``plattersim`` return the same values, messages, exceptions, bad-sector
-tables and probe counts.
+addresses with ``bsm``.  ``PLANS`` are the baselines' plans built one track
+group at a time (``_groups``, ``_serve``), where the package slices lists
+laid out once per scenario.  The differential tests check that the versions
+in ``plattersim`` return the same values, messages, exceptions, bad-sector
+tables, probe counts and plans.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -192,3 +195,116 @@ def modsbsm_execute(scenario, faults=None):
     steps = replay(scenario.geometry, scenario.initial_head, visits)
     entries = [(e.index, e.prescribed_bit, e.finalized) for e in table.values()]
     return served, visits, steps, decisions, entries
+
+
+def _groups(scenario):
+    """Pending queue as (track, arrival ranks) groups, tracks ascending."""
+    by_track = {}
+    for req in scenario.requests:
+        by_track.setdefault(req.address.track, []).append(req.arrival_rank)
+    return sorted(by_track.items())
+
+
+def _serve(ranks, moving_up, queue_ascending):
+    # Crossing the track with the queue's sort direction reads the group
+    # forward; crossing against it reads the group from the other end.
+    if moving_up == queue_ascending:
+        return list(ranks)
+    return list(reversed(ranks))
+
+
+def _sstf_plan(scenario):
+    qa = scenario.queue_ascending
+    groups = _groups(scenario)
+    tracks = [t for t, _ in groups]
+    cur = scenario.initial_head.track
+    right = bisect_left(tracks, cur)
+    left = right - 1
+    order = []
+    moving_up = qa  # zero movement counts as moving with the queue
+    while left >= 0 or right < len(tracks):
+        if right == len(tracks) or (left >= 0 and cur - tracks[left] <= tracks[right] - cur):
+            t, ranks = groups[left]
+            left -= 1
+        else:
+            t, ranks = groups[right]
+            right += 1
+        if t != cur:
+            moving_up = t > cur
+        order.extend(_serve(ranks, moving_up, qa))
+        cur = t
+    return order, {}
+
+
+def _sweep_plan(scenario, variant, direction):
+    groups = _groups(scenario)
+    qa = scenario.queue_ascending
+    head_track = scenario.initial_head.track
+    top = scenario.geometry.num_tracks - 1
+    down = direction == "down"
+
+    if down:
+        first = [g for g in groups if g[0] <= head_track][::-1]
+        rest = [g for g in groups if g[0] > head_track]
+        first_moving = False
+    else:
+        first = [g for g in groups if g[0] >= head_track]
+        rest = [g for g in groups if g[0] < head_track][::-1]
+        first_moving = True
+    if variant in ("scan", "look"):
+        second, second_moving = rest, not first_moving
+    else:  # cscan / clook continue in the original direction
+        second, second_moving = rest[::-1], first_moving
+
+    order = []
+    for _, ranks in first:
+        order.extend(_serve(ranks, first_moving, qa))
+    boundary_at = len(order)
+    for _, ranks in second:
+        order.extend(_serve(ranks, second_moving, qa))
+
+    via = {}
+    if second and variant in ("scan", "cscan"):
+        edge, far_edge = (0, top) if down else (top, 0)
+        via[boundary_at] = (edge,) if variant == "scan" else (edge, far_edge)
+    return order, via
+
+
+def _odsa_plan(scenario):
+    tracks = [req.address.track for req in scenario.requests]
+    head_track = scenario.initial_head.track
+    to_min = head_track - min(tracks)
+    to_max = max(tracks) - head_track
+    return _sweep_plan(scenario, "look", "up" if to_max < to_min else "down")
+
+
+def _mrsa_plan(scenario):
+    tracks = sorted(req.address.track for req in scenario.requests)
+    n = len(tracks)
+    low, high = tracks[(n - 1) // 2], tracks[n // 2]
+    if low <= scenario.initial_head.track <= high:
+        return _sstf_plan(scenario)
+    return _odsa_plan(scenario)
+
+
+def _smcc_plan(scenario):
+    tracks = [req.address.track for req in scenario.requests]
+    midpoint = (min(tracks) + max(tracks)) / 2
+    direction = "down" if scenario.initial_head.track < midpoint else "up"
+    return _sweep_plan(scenario, "look", direction)
+
+
+def _rp10_plan(scenario):
+    tracks = [req.address.track for req in scenario.requests]
+    span = max(tracks) - min(tracks)
+    direction = "down" if scenario.initial_head.track >= span else "up"
+    return _sweep_plan(scenario, "look", direction)
+
+
+PLANS = {
+    "sstf": _sstf_plan,
+    "odsa": _odsa_plan,
+    "rp10": _rp10_plan,
+    "smcc": _smcc_plan,
+    "mrsa": _mrsa_plan,
+}

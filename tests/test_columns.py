@@ -1,13 +1,16 @@
-"""Column pricing against the per-visit loops it replaced (``reference_loops``).
+"""Column pricing and sliced plans against the loops they replaced (``reference_loops``).
 
 Raw scenarios repeat addresses, mark some bad, and put the head anywhere,
 the disk edges included.  Every plan is replayed through its ``via``
 waypoints, the faulty ones after ``retry_at_tail``; traces are then
 tampered with (latency, transfer, seek, an out-of-bounds address, a cut)
-before ``verify_trace`` checks them.  A last test counts Python-level
-calls to show that no layer makes one per visit.
+before ``verify_trace`` checks them.  The baselines' plans, sliced from the
+scenario's sweep lists, are checked against plans built one track group at
+a time.  A last test counts Python-level calls to show that no layer makes
+one per visit.
 """
 
+import dataclasses
 import gc
 import sys
 
@@ -17,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import reference_loops as ref
 from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, GeometryBoundsError, PhysicalAddress
-from plattersim.metrics import ServiceStep, replay, totals
+from plattersim.metrics import ServiceStep, Trace, replay, totals
 from plattersim.oracle import verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
@@ -183,6 +186,48 @@ def test_verify_trace_reports_tampered_traces_as_the_per_step_loop(scenario, dat
     trace = data.draw(_tampered(scenario, run.steps))
     assert verify_trace(scenario, trace) == ref.verify_trace(scenario, trace)
     assert verify_trace(scenario, trace, run.totals) == ref.verify_trace(scenario, trace, run.totals)
+    columns = Trace.of(trace)
+    assert verify_trace(scenario, columns) == verify_trace(scenario, list(columns))
+    assert verify_trace(scenario, columns, run.totals) == verify_trace(scenario, trace, run.totals)
+
+
+@st.composite
+def _queues(draw):
+    """Repeated tracks in either queue direction, the head below, above, on or between them."""
+    geometry = DiskGeometry(draw(st.integers(1, 2)), draw(st.integers(1, 16)), draw(st.integers(1, 4)))
+    top = geometry.num_tracks - 1
+    tracks = draw(st.lists(st.integers(0, top), min_size=1, max_size=14))
+    arrival = draw(st.sampled_from(["ascending", "descending", "random"]))
+    if arrival != "random":
+        tracks.sort(reverse=arrival == "descending")
+    low, high = min(tracks), max(tracks)
+    head_track = draw(st.one_of(
+        st.integers(0, low), st.integers(high, top), st.sampled_from(tracks), st.integers(low, high)
+    ))
+
+    def address(track):
+        return PhysicalAddress(
+            track,
+            draw(st.integers(1, geometry.num_platters)),
+            draw(st.integers(0, geometry.sectors_per_track - 1)),
+        )
+
+    return Scenario(
+        geometry=geometry,
+        initial_head=address(head_track),
+        requests=tuple(MemoryRequest(address(t), arrival_rank=i) for i, t in enumerate(tracks)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_queues())
+def test_sliced_plans_match_the_per_group_loops(scenario):
+    for variant in SWEEP_NAMES:
+        for direction in ("up", "down"):
+            plan = _plan(scenario, variant, direction, False)
+            assert plan == ref._sweep_plan(scenario, variant, direction), (variant, direction)
+    for algorithm, reference in ref.PLANS.items():
+        assert _plan(scenario, algorithm, None, False) == reference(scenario), algorithm
 
 
 GEOMETRY = DiskGeometry(2, 10, 4)
@@ -266,6 +311,11 @@ def _clean_pass(n):
     )
     order = list(range(n))
     via = {n // 2: (0,)}
+    # The schedulers take the faulty path; a head on the edge track picks
+    # the same plan kind (mrsa's sweep) at every size.
+    faulty = dataclasses.replace(
+        scenario, initial_head=PhysicalAddress(0, 1, 0), faults=(FaultSpec(unused, 1),)
+    )
 
     def run():
         visits, _, _ = retry_at_tail(order, scenario, FaultModel([FaultSpec(unused, 1)]))
@@ -273,6 +323,9 @@ def _clean_pass(n):
         steps = replay(geometry, scenario.initial_head, addresses, via)
         run_totals = totals(steps, n)
         assert verify_trace(scenario, steps, run_totals) == []
+        for algorithm in ALGORITHM_NAMES:
+            scheduled = run_scheduler(faulty, algorithm)
+            assert verify_trace(faulty, scheduled.steps, scheduled.totals) == [], algorithm
 
     return run
 

@@ -12,7 +12,9 @@ from plattersim.geometry import DiskGeometry, PhysicalAddress
 from plattersim.metrics import (
     AccessTotals,
     EnergyModel,
+    SchedulerRun,
     ServiceStep,
+    Trace,
     energy_saved,
     improvement,
     parse_trace_csv,
@@ -144,6 +146,42 @@ def test_trace_csv_round_trip():
     text = trace_csv(steps)
     assert text.splitlines()[0] == "step,track,platter,sector,seek,latency,transfer,access"
     assert parse_trace_csv(text) == steps
+
+
+def test_trace_is_a_sequence_of_steps_built_on_access():
+    geom = DiskGeometry(4, 100, 8)
+    visits = [PhysicalAddress(52, 1, 1), PhysicalAddress(40, 2, 3), PhysicalAddress(40, 4, 3)]
+    trace = replay(geom, PhysicalAddress(50, 1, 0), visits)
+    rows = [
+        ServiceStep(visits[0], 2, 1, 1),
+        ServiceStep(visits[1], 12, 2, 2),
+        ServiceStep(visits[2], 0, 0, 3),
+    ]
+    assert type(trace) is Trace and len(trace) == 3
+    assert trace.visits == tuple(visits)
+    assert (trace.seeks, trace.latencies, trace.transfers) == ((2, 12, 0), (1, 2, 0), (1, 2, 3))
+    assert trace[0] == rows[0] and trace[-1] == rows[2] and trace[-2] == rows[1]
+    assert type(trace[1]) is ServiceStep and trace[1].access == 16
+    assert all(type(step) is ServiceStep for step in trace)
+    assert list(trace) == rows
+    with pytest.raises(IndexError):
+        trace[3]
+
+    tail = trace[1:]
+    assert type(tail) is Trace and tail == rows[1:] and tail.visits == tuple(visits[1:])
+    assert trace[::-1] == rows[::-1] and trace[5:] == []
+
+    for other in (rows, tuple(rows), Trace.of(rows), Trace.of(iter(rows))):
+        assert trace == other and other == trace and not trace != other
+    changed = [rows[0], rows[1]._replace(latency=3), rows[2]]
+    for other in (changed, tuple(changed), Trace.of(changed), rows[:2], "abc"):
+        assert trace != other and other != trace
+    assert trace != 3 and Trace.of(trace) is trace
+
+    assert hash(trace) == hash(Trace.of(rows)) == hash(tuple(rows))
+    first, second = (SchedulerRun("fcfs", (0, 1, 2), t, totals(t, 3)) for t in (trace, Trace.of(rows)))
+    assert first == second and hash(first) == hash(second)
+    assert first.visits == tuple(visits)
 
 
 def test_totals_csv_shape():
