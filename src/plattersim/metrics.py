@@ -13,15 +13,19 @@ device units:
 
 Pricing is one column kernel, ``step_costs``, with no Python call per step:
 it prices the steps of a walk given as (track, platter, sector) columns.
-``replay`` prices a visit sequence from a fixed start position with it, so
-it prices every scheduler, MODSBSM included, the oracle and ``verify_trace``.
+Addresses are bounds-checked once, where they enter: ``Scenario`` checks the
+head and every request address, so ``price_ranks``, which prices a walk over
+a scenario's arrival ranks (every scheduler, MODSBSM included, and the
+oracle's order), checks nothing again.  ``replay`` prices a foreign visit
+sequence from a start position and checks its addresses first, and
+``plattersim.oracle.verify_trace`` checks those of any steps it is given.
 ``via`` waypoints are edge tracks the arm passes between two visits (SCAN
 turning at the disk edge, C-SCAN's full-stroke return); seek includes them.
 Aggregates follow the usual naming — TSKT (total seek), TRL (total
 rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 (TDAT per request).
 
-``replay`` returns a ``Trace``, the visits and the three cost columns, read
+Both return a ``Trace``, the visits and the three cost columns, read
 as ``ServiceStep`` rows built only on access.  ``ServiceStep``, like
 :class:`~plattersim.geometry.PhysicalAddress`, is a named tuple, so hashing
 and equality run in C and a step compares equal to the plain tuple of its
@@ -44,6 +48,7 @@ from .geometry import DiskGeometry, PhysicalAddress, validate, within
 
 if TYPE_CHECKING:
     from .modsbsm import BadSectorEntry, DirectionDecision
+    from .workload import Scenario
 
 
 def rotational_delta(prev_sector: int, next_sector: int, sectors_per_track: int) -> int:
@@ -162,11 +167,12 @@ def replay(
     visits: Iterable[PhysicalAddress],
     via: Mapping[int, Sequence[int]] | None = None,
 ) -> Trace:
-    """Price a visit sequence from the given head position.
+    """Check and price a visit sequence from the given head position.
 
     The reference position for each step is the previously visited address
     (the head starts at ``head``); ``via`` maps a 0-based visit position to
-    the waypoints the arm passes on its way to that visit.
+    the waypoints the arm passes on its way to that visit.  The first address
+    off the disk, the head's included, raises ``GeometryBoundsError``.
     """
     validate(geometry, head)
     visits = tuple(visits)
@@ -175,6 +181,21 @@ def replay(
         for addr in visits:
             validate(geometry, addr)
     costs = step_costs(geometry.sectors_per_track, positions, via)
+    return Trace(visits, *map(tuple, costs))
+
+
+def price_ranks(
+    scenario: Scenario,
+    ranks: Iterable[int],
+    via: Mapping[int, Sequence[int]] | None = None,
+) -> Trace:
+    """Price a walk over the scenario's arrival ranks from its initial head, as ``replay`` does.
+
+    Nothing is checked again: ``Scenario`` checked the head and every request address.
+    """
+    visits = tuple(map(scenario.addresses.__getitem__, ranks))
+    positions = columns(visits, scenario.initial_head)
+    costs = step_costs(scenario.geometry.sectors_per_track, positions, via)
     return Trace(visits, *map(tuple, costs))
 
 

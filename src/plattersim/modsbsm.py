@@ -19,7 +19,8 @@ RD < LD the descending one.  A tie resumes against the arm's recent
 movement — if it was last moving from high to low tracks the sweep goes
 ascending, otherwise descending; with no history it goes ascending.
 Directions are spelled ``"up"``/``"down"``, as elsewhere in the package.
-The passes record their visits; :func:`plattersim.metrics.replay` prices them.
+The passes record the ranks they visit; :func:`plattersim.metrics.price_ranks`
+prices them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import ClassVar, Iterable
 
 from .faults import FaultModel
 from .geometry import PhysicalAddress
-from .metrics import SchedulerRun, columns, replay, totals
+from .metrics import SchedulerRun, columns, price_ranks, totals
 from .workload import Scenario
 
 ASCENDING = "up"
@@ -114,7 +115,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     probes: dict[PhysicalAddress, int] = {}
     tabled: list[PhysicalAddress] = []
     pending = list(range(len(addresses)))
-    visits: list[PhysicalAddress] = []
+    walk: list[int] = []  # the visited ranks
     served: list[int] = []
     decisions: list[DirectionDecision] = []
     track = scenario.initial_head.track
@@ -140,7 +141,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
             if count < PROBE_LIMIT:
                 carry.append(rank)
         visited = list(filterfalse(answered.__contains__, ordered))
-        visits.extend(map(addresses.__getitem__, visited))
+        walk.extend(visited)
         served.extend(filterfalse(set(carry).__contains__, ordered))
         # After the jump to its start a sweep is monotone: its first and last
         # tracks give the arm's position and its last move.
@@ -150,7 +151,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
                 track = t
         pending = carry
 
-    steps = replay(scenario.geometry, scenario.initial_head, visits)
+    steps = price_ranks(scenario, walk)
     return SchedulerRun(
         algorithm="modsbsm",
         order=tuple(served),

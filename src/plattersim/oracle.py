@@ -9,16 +9,24 @@ step costs priced once by the column kernel ``metrics.step_costs``).
 Faults are ignored: the oracle prices ideal fault-free service.
 
 ``verify_trace`` reads any steps as a column ``Trace``, re-prices its visits
-with the same kernel and compares whole columns in C.  Latency and transfer
-are fully determined by consecutive positions and must match exactly; seek
-only has to be at least the direct track distance, because the
-boundary-touching sweeps genuinely travel further than the straight line
-between consecutive requests.  Coverage: every requested address must be
-visited at least as often as it was requested, except that a bad address
-needs only ``min(requested, PROBE_LIMIT)`` visits, because MODSBSM answers
-later requests to it from its bad-sector table.  A trace of a fault-free
-scenario with exactly one step per request must visit each requested address
-exactly as often as it was requested.
+with the same kernel into three tuples and compares whole columns in C.
+Latency and transfer are fully determined by consecutive positions and must
+match exactly; seek only has to be at least the direct track distance,
+because the boundary-touching sweeps genuinely travel further than the
+straight line between consecutive requests.  Bounds are checked here for any
+steps: a walk that visits only requested addresses is on the disk, because
+``Scenario`` checked those, and any other walk is checked with
+``geometry.within``.  A trace that is on the disk and equals its re-pricing
+is settled by three tuple comparisons; per-step code runs only for a trace
+that differs from its re-pricing, and then only on the steps that differ
+(every step when an address is off the disk).  Coverage: every requested
+address must be visited at least as often as it was requested, except that
+a bad address needs only ``min(requested, PROBE_LIMIT)`` visits, because
+MODSBSM answers later requests to it from its bad-sector table.  A trace of
+a fault-free scenario with exactly one step per request must visit each
+requested address exactly as often as it was requested.  A trace that does
+so passes both rules after one dict comparison; only any other trace is
+searched for short addresses.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from operator import lt, ne, or_
 from typing import Sequence
 
 from .geometry import GeometryBoundsError, validate, within
-from .metrics import AccessTotals, SchedulerRun, ServiceStep, Trace, columns, replay, step_costs, totals
+from .metrics import AccessTotals, SchedulerRun, ServiceStep, Trace, columns, price_ranks, step_costs, totals
 from .modsbsm import PROBE_LIMIT
 from .workload import Scenario
 
@@ -73,8 +81,7 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Sched
             best_cost = cost
             best_perm = perm
 
-    addresses = [targets[i] for i in best_perm]
-    steps = replay(scenario.geometry, head, addresses)
+    steps = price_ranks(scenario, best_perm)
     return SchedulerRun("oracle", best_perm, steps, totals(steps))
 
 
@@ -85,13 +92,24 @@ def verify_trace(
     trace = Trace.of(steps)
     geometry = scenario.geometry
     sectors = geometry.sectors_per_track
+    requested = scenario.requested
+    visited = Counter(trace.visits)
     positions = columns(trace.visits, scenario.initial_head)
-    min_seeks, latencies, transfers = step_costs(sectors, positions)
-    # A latency outside 0..sectors-1 differs from the re-priced one as well.
-    differ = map(or_, map(ne, trace.latencies, latencies), map(ne, trace.transfers, transfers))
-    flagged = map(or_, differ, map(lt, trace.seeks, min_seeks))
-    if not within(geometry, positions):
+    # Scenario checked the addresses it requests: a walk over them is on the disk.
+    on_disk = visited.keys() <= requested.keys() or within(geometry, positions)
+    min_seeks, latencies, transfers = map(tuple, step_costs(sectors, positions))
+    if not on_disk:
         flagged = itertools.repeat(True)  # a rogue address: check every step
+    elif (
+        trace.latencies == latencies
+        and trace.transfers == transfers
+        and not any(map(lt, trace.seeks, min_seeks))
+    ):
+        flagged = ()  # the common case: settled in C, no step to look at
+    else:
+        # A latency outside 0..sectors-1 differs from the re-priced one as well.
+        differ = map(or_, map(ne, trace.latencies, latencies), map(ne, trace.transfers, transfers))
+        flagged = map(or_, differ, map(lt, trace.seeks, min_seeks))
     violations: list[str] = []
     for i in itertools.compress(range(len(trace)), flagged):
         k, step = i + 1, trace[i]
@@ -101,9 +119,7 @@ def verify_trace(
             violations.append(f"step {k}: address out of bounds ({exc})")
             continue
         # Priced from the previous address, out of bounds or not.
-        (min_seek,), (expected_latency,), (expected_transfer,) = step_costs(
-            sectors, [col[i : i + 2] for col in positions]
-        )
+        min_seek, expected_latency, expected_transfer = min_seeks[i], latencies[i], transfers[i]
         if not 0 <= step.latency < sectors:
             violations.append(f"step {k}: latency {step.latency} outside 0..{sectors - 1}")
         if step.latency != expected_latency:
@@ -122,18 +138,24 @@ def verify_trace(
         if run_totals.tdat != sum(sums):
             violations.append(f"totals: tdat {run_totals.tdat} != tskt+trl+tdtt {sum(sums)}")
 
-    requested = scenario.requested
-    visited = Counter(trace.visits)
+    # Every address visited exactly as often as it was requested: none is
+    # short, and the trace is a permutation of the queue.  dict's own == reuses
+    # the stored hashes (Counter's is Python); counted occurrences are never
+    # zero, so it agrees with Counter's.
+    if dict.__eq__(visited, requested):
+        return violations
     bad = {spec.address for spec in scenario.faults}
-    # Sort only the short addresses: a clean trace then pays no sort.
+    # Only an address visited fewer times than requested can be short: pick those in C.
+    fewer = itertools.compress(
+        requested.items(), map(lt, map(visited.__getitem__, requested), requested.values())
+    )
     short = [
         (address, count)
-        for address, count in requested.items()
-        if visited[address] < (min(count, PROBE_LIMIT) if address in bad else count)
+        for address, count in fewer
+        if address not in bad or visited[address] < min(count, PROBE_LIMIT)
     ]
     for address, count in sorted(short):
         violations.append(f"coverage: {address} requested {count} times, visited {visited[address]}")
-    # Counted occurrences are never zero, so the items compare as the Counters do, in C.
-    if not bad and len(trace) == len(scenario.requests) and visited.items() != requested.items():
+    if not bad and len(trace) == len(scenario.requests):
         violations.append("coverage: trace is not a permutation of the request queue")
     return violations

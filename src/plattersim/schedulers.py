@@ -2,12 +2,15 @@
 
 Every policy is a plan: an order over arrival ranks plus the head path,
 ``via``, which maps a visit position to the edge tracks the arm passes
-on its way there.  Pricing is :func:`plattersim.metrics.replay` of the
-planned visits through those waypoints.  SCAN turns at the physical edge
-of the disk and C-SCAN additionally rides the full-stroke return
-(``num_tracks - 1``) before continuing in its original direction; LOOK
-and C-LOOK reverse (or jump) at the extreme request, so their plans name
-no waypoints.
+on its way there.  Pricing is :func:`plattersim.metrics.price_ranks` of
+the planned ranks through those waypoints; it checks no bounds, because
+``Scenario`` checked the head and every request address once (a foreign
+visit sequence goes through ``metrics.replay``, which checks them, and any
+steps through ``oracle.verify_trace``).  SCAN turns at the physical edge of
+the disk and C-SCAN additionally rides the full-stroke return
+(``num_tracks - 1``) before continuing in its original direction; LOOK and
+C-LOOK reverse (or jump) at the extreme request, so their plans name no
+waypoints.
 
 Same-track requests follow the queue convention described in
 :mod:`plattersim.workload`: the pending queue is a track-sorted list kept
@@ -41,7 +44,7 @@ from typing import Callable, Sequence
 
 from . import modsbsm
 from .faults import FaultModel
-from .metrics import SchedulerRun, replay, totals
+from .metrics import SchedulerRun, price_ranks, totals
 from .workload import DIRECTION_HINT_NAMES, DIRECTIONS, Scenario
 
 SWEEP_NAMES = DIRECTION_HINT_NAMES
@@ -52,7 +55,7 @@ DEFAULT_SWEEP_DIRECTION = "down"
 RETRY_LIMIT = 3  # attempts per request before retry_at_tail abandons it
 
 # A visit order over arrival ranks, and the head path's waypoints keyed by
-# visit position (see metrics.replay).
+# visit position (see metrics.replay and metrics.price_ranks).
 Plan = tuple[list[int], dict[int, tuple[int, ...]]]
 
 
@@ -214,7 +217,7 @@ def run_scheduler(
 ) -> SchedulerRun:
     """Plan and price one scheduler over one scenario.
 
-    Baselines replay their planned visits through the plan's head path.
+    Baselines price their planned visits through the plan's head path.
     On a faulty scenario they drive the plan with the retry-at-tail
     policy; retries follow the whole planned order, so the plan's
     waypoints keep their visit positions.  ``modsbsm`` runs its own
@@ -234,8 +237,7 @@ def run_scheduler(
         fault_model = FaultModel(scenario.faults)
         visit_ranks, _, abandoned = retry_at_tail(order, scenario, fault_model)
         note = "failed visits retried at queue tail"
-    addresses = map(scenario.addresses.__getitem__, visit_ranks)
-    steps = replay(scenario.geometry, scenario.initial_head, addresses, via)
+    steps = price_ranks(scenario, visit_ranks, via)
     return SchedulerRun(
         algorithm=algorithm,
         order=tuple(order),

@@ -3,8 +3,10 @@
 Raw scenarios repeat addresses, mark some bad, and put the head anywhere,
 the disk edges included.  Every plan is replayed through its ``via``
 waypoints, the faulty ones after ``retry_at_tail``; traces are then
-tampered with (latency, transfer, seek, an out-of-bounds address, a cut)
-before ``verify_trace`` checks them.  The baselines' plans, sliced from the
+tampered with (latency, transfer, seek, an out-of-bounds address, a visit
+replaced by another requested address, a repeated step, a cut), and some
+are handed over as a ``Trace`` of list columns, before ``verify_trace``
+checks them.  The baselines' plans, sliced from the
 scenario's sweep lists, are checked against plans built one track group at
 a time.  A last test counts Python-level calls to show that no layer makes
 one per visit.
@@ -166,15 +168,22 @@ def _tampered(draw, scenario, steps):
         if not steps:
             break
         i = draw(st.integers(0, len(steps) - 1))
-        kind = draw(st.sampled_from(["latency", "transfer", "seek", "rogue", "cut"]))
+        kind = draw(st.sampled_from(["latency", "transfer", "seek", "rogue", "swap", "repeat", "cut"]))
         delta = draw(st.integers(-4, 4).filter(bool))
         step = steps[i]
         if kind == "rogue":
             steps[i] = step._replace(address=draw(_outside(scenario.geometry)))
+        elif kind == "swap":  # another requested address, its costs left as they were
+            steps[i] = step._replace(address=draw(st.sampled_from(scenario.addresses)))
+        elif kind == "repeat":
+            steps.insert(i, step)
         elif kind == "cut":
             steps = steps[:i]
         else:
             steps[i] = step._replace(**{kind: getattr(step, kind) + delta})
+    if draw(st.booleans()):
+        trace = Trace.of(steps)
+        return Trace(*map(list, (trace.visits, trace.seeks, trace.latencies, trace.transfers)))
     return steps
 
 
@@ -270,6 +279,30 @@ def test_verify_trace_lists_two_tampered_steps_around_a_rogue_address():
         "step 2: address out of bounds (track 200 out of range 0..199)",
         "step 3: transfer 5 != re-priced 2",
         "step 3: seek 20 below track distance 160",
+        "coverage: PhysicalAddress(track=60, platter=2, sector=3) requested 1 times, visited 0",
+        "coverage: trace is not a permutation of the request queue",
+    ]
+
+
+def test_verify_trace_lists_the_short_address_before_the_permutation_line():
+    scenario = Scenario(
+        geometry=DiskGeometry(4, 200, 8),
+        initial_head=PhysicalAddress(50, 1, 0),
+        requests=tuple(
+            MemoryRequest(address=PhysicalAddress(*a), arrival_rank=i)
+            for i, a in enumerate([(52, 1, 1), (60, 2, 3), (40, 1, 7), (45, 3, 2)])
+        ),
+    )
+    run = run_scheduler(scenario, "fcfs")
+    steps = list(run.steps)
+    steps[1] = steps[1]._replace(address=PhysicalAddress(52, 1, 1))
+    messages = verify_trace(scenario, steps, run.totals)
+    assert messages == ref.verify_trace(scenario, steps, run.totals)
+    assert messages == [
+        "step 2: latency 2 != re-priced 0",
+        "step 2: transfer 2 != re-priced 1",
+        "step 3: latency 4 != re-priced 6",
+        "step 3: transfer 2 != re-priced 1",
         "coverage: PhysicalAddress(track=60, platter=2, sector=3) requested 1 times, visited 0",
         "coverage: trace is not a permutation of the request queue",
     ]
