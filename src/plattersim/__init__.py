@@ -8,7 +8,7 @@ exhaustive-search oracle, a seeded workload generator, six built-in
 workloads with bundled reference totals, and a CLI (``plattersim``).
 """
 
-from .faults import FaultModel, FaultSpec, ProbeOutcome, SavingsReport, savings_report
+from .faults import FaultModel, FaultSpec
 from .geometry import (
     DiskGeometry,
     GeometryBoundsError,
@@ -27,11 +27,9 @@ from .metrics import (
     energy_saved,
     improvement,
     replay,
-    rotational_delta,
     totals,
     totals_csv,
     trace_csv,
-    transfer_cost,
 )
 from .modsbsm import (
     BadSectorEntry,
@@ -93,10 +91,8 @@ __all__ = [
     "MemoryRequest",
     "OracleSizeError",
     "PhysicalAddress",
-    "ProbeOutcome",
     "REFERENCE_TOTALS",
     "REFERRED_ALGORITHMS",
-    "SavingsReport",
     "Scenario",
     "ScenarioError",
     "SchedulerRun",
@@ -119,13 +115,10 @@ __all__ = [
     "render_scenario",
     "replay",
     "retry_at_tail",
-    "rotational_delta",
     "run_scheduler",
-    "savings_report",
     "totals",
     "totals_csv",
     "trace_csv",
-    "transfer_cost",
     "validate",
     "verify_trace",
 ]

@@ -15,9 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .faults import savings_report
 from .geometry import render_index
-from .metrics import EnergyModel
+from .metrics import energy_saved
 from .oracle import MAX_ORACLE_REQUESTS, OracleSizeError, optimal_order
 from .report import (
     compare_builtin_suite,
@@ -143,16 +142,14 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(render_run_table(run, with_trace=args.trace))
     if args.savings is not None:
-        rep = savings_report(run.resolved, EnergyModel(), args.savings)
+        # energy_saved checks N, so with nothing resolved any N prints a zero total.
+        saved = [energy_saved(args.savings) for _ in run.resolved]
         prefix = "# " if args.format == "csv" else ""
-        for row in rep.rows:
-            print(
-                f"{prefix}savings {render_index(row.address)}: "
-                f"energy={row.energy:g} fJ heat={row.heat:g}"
-            )
+        for address, (energy, heat) in zip(run.resolved, saved):
+            print(f"{prefix}savings {render_index(address)}: energy={energy:g} fJ heat={heat:g}")
         print(
             f"{prefix}savings total (n={args.savings}): "
-            f"energy={rep.energy_total:g} fJ heat={rep.heat_total:g}"
+            f"energy={sum(e for e, _ in saved):g} fJ heat={sum(h for _, h in saved):g}"
         )
     return 0
 

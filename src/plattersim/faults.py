@@ -2,25 +2,19 @@
 
 A fault table marks addresses whose stored bit cannot be read directly and
 records what that bit actually is.  ``FaultModel`` wraps the table at run
-time: every physical probe of a bad address is counted, which is what the
-savings accounting hangs off — once a bad sector's content is pinned down
-by the scheduler, later reads are answered from its prescribed-bit entry
-instead of touching the platter again.
+time and counts every physical probe of a bad address; the counts show how
+often a scheduler touched the platter there.  Once MODSBSM has pinned a bad
+sector's content down, later reads are answered from its prescribed-bit
+entry instead of touching the platter again (``metrics.energy_saved`` prices
+those avoided reads from a projected read count, not from probe counts).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, KeysView
 
 from .geometry import PhysicalAddress, render_index
-from .metrics import EnergyModel, energy_saved
-
-
-class ProbeOutcome(enum.Enum):
-    READABLE = "readable"
-    UNREADABLE = "unreadable"
 
 
 @dataclass(frozen=True)
@@ -52,50 +46,13 @@ class FaultModel:
         """Read-only view of the table's addresses; probing them is :meth:`access`."""
         return self._bits.keys()
 
-    def access(self, address: PhysicalAddress) -> ProbeOutcome:
+    def access(self, address: PhysicalAddress) -> None:
         """Physically probe an address; bad addresses count every probe."""
         if address in self._bits:
             self._probes[address] += 1
-            return ProbeOutcome.UNREADABLE
-        return ProbeOutcome.READABLE
 
     def true_bit(self, address: PhysicalAddress) -> int:
         return self._bits[address]
 
     def probe_count(self, address: PhysicalAddress) -> int:
         return self._probes.get(address, 0)
-
-
-@dataclass(frozen=True)
-class SavingsRow:
-    address: PhysicalAddress
-    energy: float
-    heat: float
-
-
-@dataclass(frozen=True)
-class SavingsReport:
-    rows: tuple[SavingsRow, ...]
-    energy_total: float
-    heat_total: float
-
-
-def savings_report(
-    resolved: Iterable[PhysicalAddress],
-    model: EnergyModel = EnergyModel(),
-    projected_accesses: int = 5,
-) -> SavingsReport:
-    """Energy/heat avoided for each resolved bad address over its lifetime.
-
-    ``resolved`` are addresses whose prescribed bit has been finalized;
-    ``projected_accesses`` is how many times each would be read in total.
-    """
-    rows = []
-    for address in resolved:
-        energy, heat = energy_saved(projected_accesses, model)
-        rows.append(SavingsRow(address, energy, heat))
-    return SavingsReport(
-        rows=tuple(rows),
-        energy_total=sum(r.energy for r in rows),
-        heat_total=sum(r.heat for r in rows),
-    )

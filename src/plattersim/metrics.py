@@ -11,8 +11,9 @@ device units:
 * ``transfer`` — one unit for the read/write itself plus the number of
   platter surfaces switched across, i.e. ``|Δplatter| + 1``.
 
-Pricing is one column kernel, ``step_costs``, with no Python call per step:
-it prices the steps of a walk given as (track, platter, sector) columns.
+The rule lives only in one column kernel, ``step_costs``, with no Python
+call per step: it prices the steps of a walk given as (track, platter,
+sector) columns.
 Addresses are bounds-checked once, where they enter: ``Scenario`` checks the
 head and every request address, so ``price_ranks``, which prices a walk over
 a scenario's arrival ranks (every scheduler, MODSBSM included, and the
@@ -49,23 +50,6 @@ from .geometry import DiskGeometry, PhysicalAddress, validate, within
 if TYPE_CHECKING:
     from .modsbsm import BadSectorEntry, DirectionDecision
     from .workload import Scenario
-
-
-def rotational_delta(prev_sector: int, next_sector: int, sectors_per_track: int) -> int:
-    """Forward rotation steps from prev_sector to next_sector (0 if equal)."""
-    if sectors_per_track < 1:
-        raise ValueError(f"sectors_per_track must be >= 1, got {sectors_per_track}")
-    for name, value in (("prev_sector", prev_sector), ("next_sector", next_sector)):
-        if not 0 <= value < sectors_per_track:
-            raise ValueError(f"{name} {value} out of range 0..{sectors_per_track - 1}")
-    return (next_sector - prev_sector) % sectors_per_track
-
-
-def transfer_cost(prev_platter: int, next_platter: int) -> int:
-    """Unit transfer plus the platter distance switched across."""
-    if prev_platter < 1 or next_platter < 1:
-        raise ValueError("platters are numbered from 1")
-    return abs(next_platter - prev_platter) + 1
 
 
 class ServiceStep(NamedTuple):
@@ -259,8 +243,8 @@ class SchedulerRun:
 
     @property
     def resolved(self) -> tuple[PhysicalAddress, ...]:
-        """Bad addresses whose table entry was finalized."""
-        return tuple(e.index for e in self.bad_sector_table if e.finalized)
+        """Bad addresses with a prescribed bit: every entry of a finished run's table."""
+        return tuple(e.index for e in self.bad_sector_table)
 
 
 def totals(steps: Sequence[ServiceStep], request_count: int | None = None) -> AccessTotals:

@@ -9,9 +9,10 @@ their queue order.  An unreadable sector is not retried in place: its
 request is carried to the next pass.  The bad-sector lifecycle is one count
 of probes per address, not per request: 1 means failed once, 2 tables the
 address as ``temporary``, and ``PROBE_LIMIT`` (three) fixes its prescribed
-bit and finalizes it as ``permanent``.  Every later request to it is
-answered from the table without touching the platter; when the queue
-repeats an address, all three probes can fall in one pass.
+bit and finalizes it as ``permanent``; ``temporary`` lasts only until
+then, so every table entry of a finished run is final.  Every later
+request to it is answered from the table without touching the platter;
+when the queue repeats an address, all three probes can fall in one pass.
 
 Direction choice per pass: with LD = head − min(track) and RD =
 max(track) − head (both signed), LD < RD picks the ascending sweep and
@@ -72,18 +73,16 @@ def decide_direction(
 class BadSectorEntry:
     """Table record for one address that failed two probes.
 
-    ``bsi`` (the failures that tabled it) is always 2, and the entry is
-    ``temporary`` until its last probe finalizes it as ``permanent``.
+    ``bsi`` (the failures that tabled it) is always 2.  An entry is
+    ``temporary`` only mid-run, until the address's third probe; every entry
+    of a finished run is final and ``permanent``.
     """
 
     index: PhysicalAddress
     prescribed_bit: int
-    finalized: int
     bsi: ClassVar[int] = 2
-
-    @property
-    def classification(self) -> str:
-        return "permanent" if self.finalized else "temporary"
+    finalized: ClassVar[int] = 1
+    classification: ClassVar[str] = "permanent"
 
 
 def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> SchedulerRun:
@@ -159,8 +158,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
         totals=totals(steps, len(addresses)),
         # A tabled address is carried to the next pass, whose probe finalizes it.
         bad_sector_table=tuple(
-            BadSectorEntry(index=addr, prescribed_bit=faults.true_bit(addr), finalized=1)
-            for addr in tabled
+            BadSectorEntry(index=addr, prescribed_bit=faults.true_bit(addr)) for addr in tabled
         ),
         decisions=tuple(decisions),
     )

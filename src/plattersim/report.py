@@ -165,17 +165,12 @@ def _improvements(
     if PROPOSED_ALGORITHM not in adats:
         return None, None
     candidate = adats[PROPOSED_ALGORITHM]
-    vs_traditional = None
-    if all(name in adats for name in TRADITIONAL_ALGORITHMS):
-        vs_traditional = improvement(
-            [adats[name] for name in TRADITIONAL_ALGORITHMS], candidate
-        )
-    vs_referred = None
-    if all(name in adats for name in REFERRED_ALGORITHMS):
-        vs_referred = improvement(
-            [adats[name] for name in REFERRED_ALGORITHMS], candidate
-        )
-    return vs_traditional, vs_referred
+    return tuple(
+        improvement([adats[name] for name in group], candidate)
+        if all(name in adats for name in group)
+        else None
+        for group in (TRADITIONAL_ALGORITHMS, REFERRED_ALGORITHMS)
+    )
 
 
 def _case_discrepancies(

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from plattersim.faults import FaultModel, ProbeOutcome
+from plattersim.faults import FaultModel
 from plattersim.geometry import GeometryBoundsError, validate
 from plattersim.metrics import ServiceStep
 from plattersim.modsbsm import ASCENDING, DESCENDING, PROBE_LIMIT, decide_direction
@@ -117,7 +117,8 @@ def retry_at_tail(order, scenario, faults):
         rank = queue.popleft()
         visits.append(rank)
         address = scenario.requests[rank].address
-        if faults.access(address) is ProbeOutcome.READABLE:
+        faults.access(address)
+        if address not in faults.bad_addresses:
             served.append(rank)
             continue
         attempts[rank] = attempts.get(rank, 0) + 1
@@ -183,12 +184,14 @@ def modsbsm_execute(scenario, faults=None):
             pos = addr
             if entry is not None:
                 bsm(entry, faults)
-            elif faults.access(addr) is ProbeOutcome.UNREADABLE:
-                if addr in failed_once:
-                    table[addr] = MutableEntry(index=addr, prescribed_bit=0, finalized=0)
-                failed_once.add(addr)
-                carry.append(req)
-                continue
+            else:
+                faults.access(addr)
+                if addr in faults.bad_addresses:
+                    if addr in failed_once:
+                        table[addr] = MutableEntry(index=addr, prescribed_bit=0, finalized=0)
+                    failed_once.add(addr)
+                    carry.append(req)
+                    continue
             served.append(req.arrival_rank)
         pending = carry
 

@@ -11,7 +11,7 @@ import time
 
 from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import parse_index
-from plattersim.metrics import energy_saved, rotational_delta
+from plattersim.metrics import energy_saved, step_costs
 from plattersim.modsbsm import execute
 from plattersim.oracle import optimal_order, verify_trace
 from plattersim.report import compare_builtin_suite, compare_scenario
@@ -113,7 +113,8 @@ def test_criterion_4_rotational_model():
                 while cur != nxt:
                     cur = (cur + 1) % 8
                     spins += 1
-                assert rotational_delta(prev, nxt, 8) == spins
+                _, lat, _ = step_costs(8, ([0, 0], [1, 1], [prev, nxt]))
+                assert list(lat) == [spins]
         result = execute(builtin_case(2))
         lats = [s.latency for s in result.steps]
         assert lats == [0, 3, 3, 1, 5, 2, 2, 5, 6, 3, 1, 2, 2, 2, 5, 5, 3, 3, 3, 6]

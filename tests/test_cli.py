@@ -1,12 +1,15 @@
 """End-to-end command-line tests (driven in-process through main)."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from plattersim.cli import main
-from plattersim.workload import parse_scenario
+from plattersim.faults import FaultSpec
+from plattersim.geometry import render_index
+from plattersim.workload import builtin_case, parse_scenario, render_scenario
 
 
 def _run(capsys, *argv):
@@ -111,6 +114,42 @@ def test_gen_with_faults_runs_modsbsm(tmp_path, capsys):
     assert "passes: 3" in out
     assert "bad sectors:" in out
     assert "savings total (n=5): energy=300 fJ heat=3" in out
+
+
+def _case2_file(tmp_path, bad_count):
+    """Built-in case 2 with its first ``bad_count`` distinct addresses unreadable."""
+    scenario = builtin_case(2)
+    bad = list(dict.fromkeys(scenario.addresses))[:bad_count]
+    faulty = dataclasses.replace(scenario, faults=tuple(FaultSpec(a, 1) for a in bad))
+    path = tmp_path / "faulty.dss"
+    path.write_text(render_scenario(faulty))
+    return str(path), bad
+
+
+def test_savings_prints_one_row_per_resolved_address_and_their_sum(tmp_path, capsys):
+    path, bad = _case2_file(tmp_path, 3)
+    code, out, _ = _run(capsys, "run", "--scenario", path, "--alg", "modsbsm", "--savings", "7")
+    assert code == 0
+    rows = [line for line in out.splitlines() if line.startswith("savings ")]
+    assert sorted(rows[:-1]) == sorted(
+        f"savings {render_index(a)}: energy=500 fJ heat=5" for a in bad
+    )
+    assert rows[-1] == "savings total (n=7): energy=1500 fJ heat=15"
+
+
+def test_savings_of_one_read_with_nothing_resolved_prints_a_zero_total(tmp_path, capsys):
+    path, _ = _case2_file(tmp_path, 0)
+    code, out, _ = _run(capsys, "run", "--scenario", path, "--alg", "modsbsm", "--savings", "1")
+    assert code == 0
+    assert out.endswith("savings total (n=1): energy=0 fJ heat=0\n")
+
+
+def test_savings_of_one_read_with_an_address_resolved_exits_2(tmp_path, capsys):
+    path, _ = _case2_file(tmp_path, 1)
+    code, out, err = _run(capsys, "run", "--scenario", path, "--alg", "modsbsm", "--savings", "1")
+    assert code == 2
+    assert "savings" not in out
+    assert "projected_accesses must be >= 2, got 1" in err
 
 
 def test_bad_sector_csv_block(tmp_path, capsys):

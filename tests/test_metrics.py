@@ -1,8 +1,9 @@
 """Cost-model tests.
 
-The rotational rule is checked against an independent brute-force oracle
-(literally stepping the platter forward one sector at a time) before any
-frozen values, so a regression in the modular arithmetic can't hide.
+The rotational rule, priced by the column kernel ``step_costs`` that every
+run uses, is checked against an independent brute-force oracle (literally
+stepping the platter forward one sector at a time) before any frozen
+values, so a regression in the modular arithmetic can't hide.
 """
 
 import pytest
@@ -19,11 +20,10 @@ from plattersim.metrics import (
     improvement,
     parse_trace_csv,
     replay,
-    rotational_delta,
+    step_costs,
     totals,
     totals_csv,
     trace_csv,
-    transfer_cost,
 )
 
 
@@ -37,16 +37,26 @@ def _spin_forward(prev, nxt, sectors):
     return steps
 
 
+def _latency(prev, nxt, sectors):
+    """The latency ``step_costs`` prices for one step between two sectors."""
+    _, (latency,), _ = step_costs(sectors, ([0, 0], [1, 1], [prev, nxt]))
+    return latency
+
+
 def test_rotational_delta_matches_brute_force_everywhere():
     for prev in range(8):
         for nxt in range(8):
-            assert rotational_delta(prev, nxt, 8) == _spin_forward(prev, nxt, 8)
+            assert _latency(prev, nxt, 8) == _spin_forward(prev, nxt, 8)
+    # One walk through every (prev, next) pair prices each step the same way.
+    sectors = [s for prev in range(8) for nxt in range(8) for s in (prev, nxt)]
+    _, latencies, _ = step_costs(8, ([0] * len(sectors), [1] * len(sectors), sectors))
+    assert list(latencies) == [_spin_forward(a, b, 8) for a, b in zip(sectors, sectors[1:])]
 
 
 def test_rotational_delta_examples():
-    assert rotational_delta(4, 4, 8) == 0  # same sector costs nothing
-    assert rotational_delta(6, 4, 8) == 6
-    assert rotational_delta(7, 2, 8) == 3
+    assert _latency(4, 4, 8) == 0  # same sector costs nothing
+    assert _latency(6, 4, 8) == 6
+    assert _latency(7, 2, 8) == 3
 
 
 @given(
@@ -56,25 +66,17 @@ def test_rotational_delta_examples():
 def test_rotational_delta_bounds_and_oracle(sectors, data):
     prev = data.draw(st.integers(min_value=0, max_value=sectors - 1))
     nxt = data.draw(st.integers(min_value=0, max_value=sectors - 1))
-    delta = rotational_delta(prev, nxt, sectors)
+    delta = _latency(prev, nxt, sectors)
     assert 0 <= delta < sectors
     assert delta == _spin_forward(prev, nxt, sectors)
 
 
-def test_rotational_delta_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        rotational_delta(8, 0, 8)
-    with pytest.raises(ValueError):
-        rotational_delta(0, -1, 8)
-
-
 def test_transfer_cost():
-    assert transfer_cost(1, 1) == 1
-    assert transfer_cost(1, 2) == 2
-    assert transfer_cost(1, 4) == 4
-    assert transfer_cost(4, 1) == 4
-    with pytest.raises(ValueError):
-        transfer_cost(0, 1)
+    _, _, transfers = step_costs(8, ([0] * 5, [1, 1, 2, 4, 1], [0] * 5))
+    assert list(transfers) == [1, 2, 3, 4]
+    for prev, nxt, want in ((1, 1, 1), (1, 2, 2), (1, 4, 4), (4, 1, 4)):
+        _, _, (transfer,) = step_costs(8, ([0, 0], [prev, nxt], [0, 0]))
+        assert transfer == want
 
 
 def test_replay_hand_example():
