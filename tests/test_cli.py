@@ -152,6 +152,18 @@ def test_savings_of_one_read_with_an_address_resolved_exits_2(tmp_path, capsys):
     assert "projected_accesses must be >= 2, got 1" in err
 
 
+def test_savings_rows_are_csv_comments_in_csv_format(tmp_path, capsys):
+    path, bad = _case2_file(tmp_path, 2)
+    code, out, _ = _run(capsys, "run", "--scenario", path, "--alg", "modsbsm",
+                        "--format", "csv", "--savings", "5")
+    assert code == 0
+    rows = [line for line in out.splitlines() if "savings" in line]
+    assert sorted(rows[:-1]) == sorted(
+        f"# savings {render_index(a)}: energy=300 fJ heat=3" for a in bad
+    )
+    assert rows[-1] == "# savings total (n=5): energy=600 fJ heat=6"
+
+
 def test_bad_sector_csv_block(tmp_path, capsys):
     out_file = tmp_path / "faulty.dss"
     _run(capsys, "gen", "--out", str(out_file), "--requests", "10",

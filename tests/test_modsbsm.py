@@ -193,6 +193,17 @@ def test_table_lists_addresses_in_the_order_their_second_failure_tabled_them():
     assert result.passes == 3
 
 
+def test_resolved_is_every_table_index_in_table_order():
+    # Every entry of a finished run's table is final, so ``resolved`` names
+    # each tabled address, in the order the table lists them.
+    a, b = PhysicalAddress(10, 1, 0), PhysicalAddress(20, 1, 0)
+    sc = _faulty((0, 1, 0), [a, b, b], bad=[a, b], geometry=DiskGeometry(1, 100, 8))
+    result = execute(sc, FaultModel(sc.faults))
+    assert result.resolved == (b, a)
+    assert all(e.finalized == 1 for e in result.bad_sector_table)
+    assert execute(_faulty((0, 1, 0), [a, b], bad=[])).resolved == ()
+
+
 def test_repeated_bad_address_is_probed_three_times_in_all():
     # Failures count per address: the first request fails, the second fails
     # and tables the address, the third finalizes it in the same pass; the
