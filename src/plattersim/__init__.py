@@ -20,7 +20,6 @@ from .geometry import (
 )
 from .metrics import (
     AccessTotals,
-    EnergyModel,
     SchedulerRun,
     ServiceStep,
     Trace,
@@ -81,7 +80,6 @@ __all__ = [
     "DirectionDecision",
     "Discrepancy",
     "DiskGeometry",
-    "EnergyModel",
     "FaultModel",
     "FaultSpec",
     "GeneratorParams",

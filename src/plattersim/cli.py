@@ -197,9 +197,7 @@ def _cmd_gen(args) -> int:
 def _cmd_oracle(args) -> int:
     scenario = _load_scenario(args)
     result = optimal_order(scenario, limit=args.max)
-    order = " ".join(
-        render_index(scenario.requests[i].address) for i in result.order
-    )
+    order = " ".join(map(render_index, result.visits))
     t = result.totals
     print(f"requests: {len(scenario.requests)}")
     print(f"order: {order}")

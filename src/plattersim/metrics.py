@@ -32,6 +32,10 @@ as ``ServiceStep`` rows built only on access.  ``ServiceStep``, like
 and equality run in C and a step compares equal to the plain tuple of its
 fields.  ``SchedulerRun``, the one record of a run, baseline, MODSBSM or
 oracle, keeps its ``Trace`` as ``steps``.
+
+``energy_saved`` prices the reads that MODSBSM's bad-sector table avoids with
+two constants: ``ENERGY_PER_ACCESS`` (100 fJ) and ``HEAT_PER_ACCESS`` (1 unit)
+per read.
 """
 
 from __future__ import annotations
@@ -270,15 +274,11 @@ def improvement(baseline_adats: Iterable[float], candidate_adat: float) -> float
     return 100.0 * (mean - float(candidate_adat)) / mean
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Per-access energy (femtojoules) and heat (arbitrary units) constants."""
-
-    energy_per_access: float = 100.0
-    heat_per_access: float = 1.0
+ENERGY_PER_ACCESS = 100.0  # femtojoules per read
+HEAT_PER_ACCESS = 1.0  # arbitrary units per read
 
 
-def energy_saved(projected_accesses: int, model: EnergyModel = EnergyModel()) -> tuple[float, float]:
+def energy_saved(projected_accesses: int) -> tuple[float, float]:
     """(energy, heat) of ``n - 2`` of ``n = projected_accesses`` reads, counted as avoided.
 
     MODSBSM probes a third time before it finalizes the entry, so the
@@ -290,7 +290,7 @@ def energy_saved(projected_accesses: int, model: EnergyModel = EnergyModel()) ->
             f"projected_accesses must be >= 2, got {projected_accesses}"
         )
     avoided = projected_accesses - 2
-    return (model.energy_per_access * avoided, model.heat_per_access * avoided)
+    return (ENERGY_PER_ACCESS * avoided, HEAT_PER_ACCESS * avoided)
 
 
 TRACE_CSV_HEADER = "step,track,platter,sector,seek,latency,transfer,access"

@@ -36,9 +36,6 @@ from .geometry import PhysicalAddress
 from .metrics import SchedulerRun, columns, price_ranks, totals
 from .workload import Scenario
 
-ASCENDING = "up"
-DESCENDING = "down"
-
 PROBE_LIMIT = 3  # physical probes of one bad address, at most
 
 
@@ -62,10 +59,10 @@ def decide_direction(
     to_min = head_track - min(tracks)
     to_max = max(tracks) - head_track
     if to_min < to_max:
-        return DirectionDecision(to_min, to_max, ASCENDING, tie=False)
+        return DirectionDecision(to_min, to_max, "up", tie=False)
     if to_max < to_min:
-        return DirectionDecision(to_min, to_max, DESCENDING, tie=False)
-    chosen = DESCENDING if last_move == ASCENDING else ASCENDING
+        return DirectionDecision(to_min, to_max, "down", tie=False)
+    chosen = "down" if last_move == "up" else "up"
     return DirectionDecision(to_min, to_max, chosen, tie=True)
 
 
@@ -107,8 +104,8 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     within_track = list(map(add, map(mul, sectors, repeat(g.num_platters)), platters))
     track_part = list(map(mul, tracks, repeat(g.sectors_per_track * g.num_platters)))
     sort_keys = {
-        ASCENDING: list(map(add, within_track, track_part)),
-        DESCENDING: list(map(sub, within_track, track_part)),
+        "up": list(map(add, within_track, track_part)),
+        "down": list(map(sub, within_track, track_part)),
     }
     bad_rank = list(map(contains, repeat(faults.bad_addresses), addresses))
     probes: dict[PhysicalAddress, int] = {}
@@ -146,7 +143,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
         # tracks give the arm's position and its last move.
         for t in (tracks[visited[0]], tracks[visited[-1]]) if visited else ():
             if t != track:
-                last_move = ASCENDING if t > track else DESCENDING
+                last_move = "up" if t > track else "down"
                 track = t
         pending = carry
 

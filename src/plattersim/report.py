@@ -3,11 +3,13 @@
 The six built-in workloads ship with reference totals for cross-checking.
 ``compare_scenario`` replays the requested schedulers, reports the replayed
 pricing as ground truth, and lists every cell where a bundled reference
-disagrees with it.  ``compare_builtin_suite`` is the sum of the six
-per-case reports: totals summed per algorithm, reference deltas and notes
-concatenated in case order.  The two headline percentages compare the
-proposed scheduler's ADAT against the mean of the six classic schedulers
-and against the mean of the five peer policies.
+disagrees with it.  A report's ``totals`` maps each algorithm to its
+``AccessTotals`` in canonical (``ALGORITHM_NAMES``) order.
+``compare_builtin_suite`` is the sum of the six per-case reports: totals
+summed per algorithm, reference deltas and notes concatenated in case
+order.  The two headline percentages compare the proposed scheduler's ADAT
+against the mean of the six classic schedulers and against the mean of the
+five peer policies.
 
 All rendering here is deterministic: same inputs, same bytes.
 """
@@ -15,16 +17,20 @@ All rendering here is deterministic: same inputs, same bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping
 
 from .geometry import render_index
 from .metrics import AccessTotals, improvement, totals_csv, trace_csv
-from .schedulers import ALGORITHM_NAMES, SchedulerRun, run_scheduler
+from .schedulers import (
+    ALGORITHM_NAMES,
+    PROPOSED_ALGORITHM,
+    REFERRED_ALGORITHMS,
+    TRADITIONAL_ALGORITHMS,
+    SchedulerRun,
+    run_scheduler,
+)
 from .workload import BUILTIN_CASE_IDS, Scenario, builtin_case
-
-TRADITIONAL_ALGORITHMS = ("fcfs", "sstf", "scan", "cscan", "look", "clook")
-REFERRED_ALGORITHMS = ("odsa", "hdsa", "rp10", "smcc", "mrsa")
-PROPOSED_ALGORITHM = "modsbsm"
 
 BAD_CSV_HEADER = "index,bsi,classification,prescribed_bit,finalized"
 
@@ -105,6 +111,7 @@ _CASE3_NOTE = (
 )
 
 _METRIC_NAMES = ("tskt", "trl", "tdtt", "tdat")
+_SUMMED_FIELDS = attrgetter("tskt", "trl", "tdtt", "request_count")
 
 
 @dataclass(frozen=True)
@@ -117,15 +124,9 @@ class Discrepancy:
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    algorithm: str
-    totals: AccessTotals
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     label: str
-    rows: tuple[ComparisonRow, ...]
+    totals: dict[str, AccessTotals]
     improvement_vs_traditional: float | None
     improvement_vs_referred: float | None
     discrepancies: tuple[Discrepancy, ...]
@@ -159,36 +160,31 @@ def normalize_algorithms(algorithms: Iterable[str] | None) -> tuple[str, ...]:
 
 
 def _improvements(
-    rows: Sequence[ComparisonRow],
+    totals: Mapping[str, AccessTotals],
 ) -> tuple[float | None, float | None]:
-    adats = {row.algorithm: float(row.totals.adat) for row in rows}
-    if PROPOSED_ALGORITHM not in adats:
+    if PROPOSED_ALGORITHM not in totals:
         return None, None
-    candidate = adats[PROPOSED_ALGORITHM]
+    candidate = totals[PROPOSED_ALGORITHM].adat
     return tuple(
-        improvement([adats[name] for name in group], candidate)
-        if all(name in adats for name in group)
+        improvement([totals[name].adat for name in group], candidate)
+        if all(name in totals for name in group)
         else None
         for group in (TRADITIONAL_ALGORITHMS, REFERRED_ALGORITHMS)
     )
 
 
 def _case_discrepancies(
-    case_id: int, rows: Sequence[ComparisonRow]
+    case_id: int, totals: Mapping[str, AccessTotals]
 ) -> list[Discrepancy]:
     references = REFERENCE_TOTALS.get(case_id, {})
     found = []
-    for row in rows:
-        reference = references.get(row.algorithm)
+    for name, got_totals in totals.items():
+        reference = references.get(name)
         if reference is None:
             continue
-        for metric, ref_value, got in zip(
-            _METRIC_NAMES, reference, row.totals.as_tuple()
-        ):
+        for metric, ref_value, got in zip(_METRIC_NAMES, reference, got_totals.as_tuple()):
             if ref_value != got:
-                found.append(
-                    Discrepancy(case_id, row.algorithm, metric, ref_value, got)
-                )
+                found.append(Discrepancy(case_id, name, metric, ref_value, got))
     return found
 
 
@@ -199,42 +195,27 @@ def compare_scenario(
 ) -> ComparisonReport:
     """Run the selected schedulers over one scenario and compare totals."""
     names = normalize_algorithms(algorithms)
-    rows = tuple(
-        ComparisonRow(name, run_scheduler(scenario, name, use_hints=paper_directions).totals)
-        for name in names
-    )
-    vs_traditional, vs_referred = _improvements(rows)
+    totals = {
+        name: run_scheduler(scenario, name, use_hints=paper_directions).totals for name in names
+    }
+    vs_traditional, vs_referred = _improvements(totals)
     case_id = identify_builtin(scenario)
     discrepancies: tuple[Discrepancy, ...] = ()
     notes: tuple[str, ...] = ()
     label = "scenario"
     if case_id is not None:
         label = f"built-in case {case_id}"
-        discrepancies = tuple(_case_discrepancies(case_id, rows))
+        discrepancies = tuple(_case_discrepancies(case_id, totals))
         if case_id == 3:
             notes = (_CASE3_NOTE,)
     return ComparisonReport(
         label=label,
-        rows=rows,
+        totals=totals,
         improvement_vs_traditional=vs_traditional,
         improvement_vs_referred=vs_referred,
         discrepancies=discrepancies,
         notes=notes,
         request_count=len(scenario.requests),
-    )
-
-
-def _summed(rows: Sequence[ComparisonRow]) -> ComparisonRow:
-    """One algorithm's rows from several reports, totals summed."""
-    per_case = [row.totals for row in rows]
-    return ComparisonRow(
-        rows[0].algorithm,
-        AccessTotals(
-            tskt=sum(t.tskt for t in per_case),
-            trl=sum(t.trl for t in per_case),
-            tdtt=sum(t.tdtt for t in per_case),
-            request_count=sum(t.request_count for t in per_case),
-        ),
     )
 
 
@@ -249,11 +230,14 @@ def compare_builtin_suite(
     """
     names = normalize_algorithms(algorithms)
     reports = [compare_scenario(case, names, paper_directions) for _, case in _BUILTIN_CASES]
-    rows = tuple(_summed(same) for same in zip(*(r.rows for r in reports)))
-    vs_traditional, vs_referred = _improvements(rows)
+    totals = {
+        name: AccessTotals(*map(sum, zip(*(_SUMMED_FIELDS(r.totals[name]) for r in reports))))
+        for name in names
+    }
+    vs_traditional, vs_referred = _improvements(totals)
     return ComparisonReport(
         label="built-in cases " + ",".join(str(c) for c in BUILTIN_CASE_IDS),
-        rows=rows,
+        totals=totals,
         improvement_vs_traditional=vs_traditional,
         improvement_vs_referred=vs_referred,
         discrepancies=tuple(d for r in reports for d in r.discrepancies),
@@ -271,10 +255,9 @@ def render_comparison_table(report: ComparisonReport) -> str:
     lines.append(
         f"{'algorithm':<10}{'tskt':>7}{'trl':>6}{'tdtt':>6}{'tdat':>7}{'adat':>9}"
     )
-    for row in report.rows:
-        t = row.totals
+    for name, t in report.totals.items():
         lines.append(
-            f"{row.algorithm:<10}{t.tskt:>7}{t.trl:>6}{t.tdtt:>6}{t.tdat:>7}{t.adat_text:>9}"
+            f"{name:<10}{t.tskt:>7}{t.trl:>6}{t.tdtt:>6}{t.tdat:>7}{t.adat_text:>9}"
         )
     if report.improvement_vs_traditional is not None:
         lines.append("")
@@ -313,7 +296,7 @@ def render_comparison_csv(report: ComparisonReport) -> str:
         )
     for note in report.notes:
         lines.append(f"# note {note}")
-    table = totals_csv((row.algorithm, row.totals) for row in report.rows)
+    table = totals_csv(report.totals.items())
     return table + "".join(line + "\n" for line in lines)
 
 

@@ -48,8 +48,12 @@ from .metrics import SchedulerRun, price_ranks, totals
 from .workload import DIRECTION_HINT_NAMES, DIRECTIONS, Scenario
 
 SWEEP_NAMES = DIRECTION_HINT_NAMES
-BASELINE_NAMES = ("fcfs", "sstf") + SWEEP_NAMES + ("odsa", "hdsa", "rp10", "smcc", "mrsa")
-ALGORITHM_NAMES = BASELINE_NAMES + ("modsbsm",)
+# The report's groups: the classic schedulers, the peer policies, the proposed one.
+TRADITIONAL_ALGORITHMS = ("fcfs", "sstf") + SWEEP_NAMES
+REFERRED_ALGORITHMS = ("odsa", "hdsa", "rp10", "smcc", "mrsa")
+PROPOSED_ALGORITHM = "modsbsm"
+BASELINE_NAMES = TRADITIONAL_ALGORITHMS + REFERRED_ALGORITHMS
+ALGORITHM_NAMES = BASELINE_NAMES + (PROPOSED_ALGORITHM,)
 
 DEFAULT_SWEEP_DIRECTION = "down"
 RETRY_LIMIT = 3  # attempts per request before retry_at_tail abandons it
@@ -169,8 +173,6 @@ def _plan(scenario: Scenario, algorithm: str, direction: str | None, use_hints: 
     if algorithm in SWEEP_NAMES:
         resolved = resolve_direction(scenario, algorithm, direction, use_hints)
         return _sweep_plan(scenario, algorithm, resolved)
-    if direction is not None:
-        raise ValueError(f"direction only applies to {', '.join(SWEEP_NAMES)}")
     return PLANS[algorithm](scenario)
 
 
@@ -225,9 +227,9 @@ def run_scheduler(
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "modsbsm":
-        if direction is not None:
-            raise ValueError("modsbsm picks its own direction each pass")
+    if direction is not None and algorithm not in SWEEP_NAMES:
+        raise ValueError(f"direction only applies to {', '.join(SWEEP_NAMES)}")
+    if algorithm == PROPOSED_ALGORITHM:
         return modsbsm.execute(scenario)
 
     order, via = _plan(scenario, algorithm, direction, use_hints)

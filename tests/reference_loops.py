@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from plattersim.faults import FaultModel
 from plattersim.geometry import GeometryBoundsError, validate
 from plattersim.metrics import ServiceStep
-from plattersim.modsbsm import ASCENDING, DESCENDING, PROBE_LIMIT, decide_direction
+from plattersim.modsbsm import PROBE_LIMIT, decide_direction
 from plattersim.schedulers import RETRY_LIMIT
 
 
@@ -131,12 +131,12 @@ def retry_at_tail(order, scenario, faults):
 
 def arrange(requests, direction):
     """Order pending requests for one sweep, ties in queue order."""
-    if direction == ASCENDING:
+    if direction == "up":
         key = lambda r: (r.address.track, r.address.sector, r.address.platter)
-    elif direction == DESCENDING:
+    elif direction == "down":
         key = lambda r: (-r.address.track, r.address.sector, r.address.platter)
     else:
-        raise ValueError(f"direction must be {ASCENDING} or {DESCENDING}, got {direction!r}")
+        raise ValueError(f"direction must be up or down, got {direction!r}")
     return sorted(requests, key=key)
 
 
@@ -180,7 +180,7 @@ def modsbsm_execute(scenario, faults=None):
                 continue
             visits.append(addr)
             if addr.track != pos.track:
-                last_move = ASCENDING if addr.track > pos.track else DESCENDING
+                last_move = "up" if addr.track > pos.track else "down"
             pos = addr
             if entry is not None:
                 bsm(entry, faults)

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from plattersim.geometry import DiskGeometry, PhysicalAddress
 from plattersim.metrics import (
     AccessTotals,
-    EnergyModel,
     SchedulerRun,
     ServiceStep,
     Trace,
@@ -133,7 +132,6 @@ def test_energy_saved():
     assert energy_saved(5) == (300.0, 3.0)
     assert energy_saved(2) == (0.0, 0.0)
     assert energy_saved(10) == (800.0, 8.0)
-    assert energy_saved(4, EnergyModel(energy_per_access=50.0, heat_per_access=0.5)) == (100.0, 1.0)
     with pytest.raises(ValueError):
         energy_saved(1)
 

@@ -10,8 +10,6 @@ from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.metrics import replay, totals
 from plattersim.oracle import verify_trace
 from plattersim.modsbsm import (
-    ASCENDING,
-    DESCENDING,
     PROBE_LIMIT,
     decide_direction,
     execute,
@@ -22,24 +20,24 @@ from plattersim.workload import MemoryRequest, Scenario, builtin_case
 
 def test_decide_direction_prefers_nearer_extreme():
     d = decide_direction(75, [28, 42, 65, 106, 185])
-    assert (d.to_min, d.to_max, d.chosen, d.tie) == (47, 110, ASCENDING, False)
+    assert (d.to_min, d.to_max, d.chosen, d.tie) == (47, 110, "up", False)
     d = decide_direction(140, [18, 95, 197])
     assert (d.to_min, d.to_max) == (122, 57)
-    assert d.chosen == DESCENDING
+    assert d.chosen == "down"
 
 
 def test_decide_direction_signed_distances_when_head_outside_span():
     # Head above every pending track: to_max is negative, so descending wins.
     d = decide_direction(185, [65])
-    assert (d.to_min, d.to_max, d.chosen) == (120, -120, DESCENDING)
+    assert (d.to_min, d.to_max, d.chosen) == (120, -120, "down")
     d = decide_direction(5, [65])
-    assert (d.to_min, d.to_max, d.chosen) == (-60, 60, ASCENDING)
+    assert (d.to_min, d.to_max, d.chosen) == (-60, 60, "up")
 
 
 def test_decide_direction_tie_resumes_against_recent_movement():
-    assert decide_direction(90, [15, 165]).chosen == ASCENDING  # no history
-    assert decide_direction(90, [15, 165], last_move="down").chosen == ASCENDING
-    assert decide_direction(90, [15, 165], last_move="up").chosen == DESCENDING
+    assert decide_direction(90, [15, 165]).chosen == "up"  # no history
+    assert decide_direction(90, [15, 165], last_move="down").chosen == "up"
+    assert decide_direction(90, [15, 165], last_move="up").chosen == "down"
     assert decide_direction(90, [15, 165], last_move="up").tie
 
 
@@ -71,7 +69,7 @@ def test_case2_run_and_latency_sequence():
 def test_case6_first_pass_tie_goes_ascending():
     result = execute(builtin_case(6))
     assert result.decisions[0].tie
-    assert result.decisions[0].chosen == ASCENDING
+    assert result.decisions[0].chosen == "up"
     assert result.totals.as_tuple() == (225, 57, 47, 329)
     assert result.totals.adat_text == "16.45"
 
@@ -108,7 +106,7 @@ def test_bad_sector_three_pass_lifecycle():
     assert result.resolved == (bad,)
 
     # pass 2: only the bad request is pending, head finished pass 1 at 185
-    assert result.decisions[1].chosen == DESCENDING
+    assert result.decisions[1].chosen == "down"
     assert result.steps[20].seek == 120
     # pass 3: stationary tie, resolved ascending, zero-cost seek
     assert result.decisions[2].tie

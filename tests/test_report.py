@@ -12,6 +12,7 @@ from plattersim.report import (
     render_comparison_csv,
     render_comparison_table,
 )
+from plattersim.schedulers import ALGORITHM_NAMES
 from plattersim.workload import BUILTIN_CASE_IDS, builtin_case, parse_scenario, render_scenario
 
 
@@ -31,7 +32,7 @@ def test_identify_builtin_survives_round_trip():
 
 def test_compare_case2_rows_and_deltas():
     report = compare_scenario(builtin_case(2), paper_directions=True)
-    by_name = {row.algorithm: row.totals.as_tuple() for row in report.rows}
+    by_name = {name: t.as_tuple() for name, t in report.totals.items()}
     assert by_name["fcfs"] == (267, 80, 20, 367)
     assert by_name["scan"] == (260, 78, 20, 358)
     assert by_name["modsbsm"] == (204, 62, 20, 286)
@@ -56,12 +57,13 @@ def test_compare_subset_has_no_improvements():
     report = compare_scenario(builtin_case(2), algorithms=["fcfs", "sstf"])
     assert report.improvement_vs_traditional is None
     assert report.improvement_vs_referred is None
-    assert [row.algorithm for row in report.rows] == ["fcfs", "sstf"]
+    assert list(report.totals) == ["fcfs", "sstf"]
 
 
 def test_aggregate_suite_totals_and_improvements():
     report = compare_builtin_suite()
-    tdat = {row.algorithm: row.totals.tdat for row in report.rows}
+    assert tuple(report.totals) == ALGORITHM_NAMES  # canonical order
+    tdat = {name: t.tdat for name, t in report.totals.items()}
     assert tdat == {
         "fcfs": 4639, "sstf": 2164, "scan": 2402, "cscan": 2953,
         "look": 2228, "clook": 2639, "odsa": 2008, "hdsa": 2008,
@@ -76,11 +78,11 @@ def test_aggregate_suite_totals_and_improvements():
 def test_suite_is_the_sum_of_the_per_case_reports():
     suite = compare_builtin_suite()
     cases = [compare_scenario(builtin_case(c), paper_directions=True) for c in BUILTIN_CASE_IDS]
-    assert [r.algorithm for r in suite.rows] == [r.algorithm for r in cases[0].rows]
-    for k, row in enumerate(suite.rows):
+    assert list(suite.totals) == list(cases[0].totals)
+    for name, summed in suite.totals.items():
         fields = ("tskt", "trl", "tdtt", "request_count")
-        sums = [sum(getattr(case.rows[k].totals, f) for case in cases) for f in fields]
-        assert sums == [getattr(row.totals, f) for f in fields]
+        sums = [sum(getattr(case.totals[name], f) for case in cases) for f in fields]
+        assert sums == [getattr(summed, f) for f in fields]
     assert suite.discrepancies == tuple(d for case in cases for d in case.discrepancies)
     assert suite.notes == tuple(n for case in cases for n in case.notes)
     assert suite.request_count == 120
