@@ -54,7 +54,6 @@ from .report import (
 )
 from .schedulers import (
     ALGORITHM_NAMES,
-    retry_at_tail,
     run_scheduler,
 )
 from .workload import (
@@ -112,7 +111,6 @@ __all__ = [
     "render_index",
     "render_scenario",
     "replay",
-    "retry_at_tail",
     "run_scheduler",
     "totals",
     "totals_csv",

@@ -2,11 +2,12 @@
 
 A fault table marks addresses whose stored bit cannot be read directly and
 records what that bit actually is.  ``FaultModel`` wraps the table at run
-time and counts every physical probe of a bad address; the counts show how
-often a scheduler touched the platter there.  Once MODSBSM has pinned a bad
-sector's content down, later reads are answered from its prescribed-bit
-entry instead of touching the platter again (``metrics.energy_saved`` prices
-those avoided reads from a projected read count, not from probe counts).
+time and counts MODSBSM's probes of each bad address; a baseline's probes of
+one are ``RETRY_LIMIT`` times the requests it abandons there.  Once MODSBSM
+has pinned a bad sector's content down, later reads are answered from its
+prescribed-bit entry instead of touching the platter again
+(``metrics.energy_saved`` prices those avoided reads from a projected read
+count, not from probe counts).
 """
 
 from __future__ import annotations

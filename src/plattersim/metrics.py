@@ -222,8 +222,10 @@ class AccessTotals:
 class SchedulerRun:
     """Everything one scheduler, or the oracle, did on one scenario.
 
-    ``decisions`` holds MODSBSM's per-pass direction choices; baselines and
-    the oracle leave it empty, as they leave the bad-sector table.
+    MODSBSM's ``order`` is its served order; a baseline's is its plan, whose
+    served ranks are ``order`` minus ``abandoned``.  ``decisions`` holds
+    MODSBSM's per-pass direction choices; baselines and the oracle leave it
+    empty, as they leave the bad-sector table.
     """
 
     algorithm: str
@@ -313,23 +315,3 @@ def totals_csv(rows: Iterable[tuple[str, AccessTotals]]) -> str:
         f"{name},{t.tskt},{t.trl},{t.tdtt},{t.tdat},{t.adat_text}" for name, t in rows
     )
     return "\n".join(lines) + "\n"
-
-
-def parse_trace_csv(text: str) -> list[ServiceStep]:
-    """Inverse of :func:`trace_csv` (step numbers are checked, then dropped)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != TRACE_CSV_HEADER.split(","):
-        raise ValueError(f"unexpected trace header: {header!r}")
-    steps = []
-    for k, row in enumerate(reader, 1):
-        if not row:
-            continue
-        step, track, platter, sector, seek, latency, transfer, access = map(int, row)
-        if step != k:
-            raise ValueError(f"trace rows out of order at step {step}")
-        s = ServiceStep(PhysicalAddress(track, platter, sector), seek, latency, transfer)
-        if s.access != access:
-            raise ValueError(f"step {k}: access {access} != seek+latency+transfer")
-        steps.append(s)
-    return steps

@@ -21,6 +21,10 @@ every group read moving up and moving down, so a sweep plan is two slices
 split at the head track, and SSTF takes one group slice per step.  FCFS
 ignores all of this and services the queue as it arrived.
 
+No baseline handles bad sectors: each request to a bad address is tried
+``RETRY_LIMIT`` times, on its planned visit and then in rounds at the
+queue tail in plan order, and is then abandoned.
+
 The peer policies are all LOOK variants differing only in how the initial
 direction is picked:
 
@@ -37,13 +41,10 @@ direction is picked:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
-from itertools import compress, repeat
-from operator import contains, getitem, not_
-from typing import Callable, Sequence
+from itertools import compress
+from typing import Callable
 
 from . import modsbsm
-from .faults import FaultModel
 from .metrics import SchedulerRun, price_ranks, totals
 from .workload import DIRECTION_HINT_NAMES, DIRECTIONS, Scenario
 
@@ -56,7 +57,7 @@ BASELINE_NAMES = TRADITIONAL_ALGORITHMS + REFERRED_ALGORITHMS
 ALGORITHM_NAMES = BASELINE_NAMES + (PROPOSED_ALGORITHM,)
 
 DEFAULT_SWEEP_DIRECTION = "down"
-RETRY_LIMIT = 3  # attempts per request before retry_at_tail abandons it
+RETRY_LIMIT = 3  # attempts per request to a bad address before a baseline abandons it
 
 # A visit order over arrival ranks, and the head path's waypoints keyed by
 # visit position (see metrics.replay and metrics.price_ranks).
@@ -176,40 +177,6 @@ def _plan(scenario: Scenario, algorithm: str, direction: str | None, use_hints: 
     return PLANS[algorithm](scenario)
 
 
-def retry_at_tail(
-    order: Sequence[int],
-    scenario: Scenario,
-    faults: FaultModel,
-) -> tuple[list[int], list[int], list[int]]:
-    """Drive a planned order against a fault table, retrying failures at the tail.
-
-    Each failed visit re-queues the request at the end of the queue until it
-    has been attempted ``RETRY_LIMIT`` times, then it is abandoned.  Returns
-    (visit ranks, served ranks, abandoned ranks).  This is a simple
-    extrapolation for the baseline schedulers, which have no bad-sector
-    handling of their own; every attempt is a physical probe.
-    """
-    addresses = scenario.addresses
-    bad_rank = list(map(contains, repeat(faults.bad_addresses), addresses))
-    failing = list(map(getitem, repeat(bad_rank), order))
-    # Readable requests are served on their planned visit; only failures queue.
-    queue = deque(compress(order, failing))
-    attempts: dict[int, int] = {}
-    retried: list[int] = []
-    abandoned: list[int] = []
-    while queue:
-        rank = queue.popleft()
-        faults.access(addresses[rank])
-        attempts[rank] = attempts.get(rank, 0) + 1
-        if attempts[rank] < RETRY_LIMIT:
-            queue.append(rank)
-            retried.append(rank)
-        else:
-            abandoned.append(rank)
-    served = list(compress(order, map(not_, failing)))
-    return [*order, *retried], served, abandoned
-
-
 def run_scheduler(
     scenario: Scenario,
     algorithm: str,
@@ -220,10 +187,9 @@ def run_scheduler(
     """Plan and price one scheduler over one scenario.
 
     Baselines price their planned visits through the plan's head path.
-    On a faulty scenario they drive the plan with the retry-at-tail
-    policy; retries follow the whole planned order, so the plan's
-    waypoints keep their visit positions.  ``modsbsm`` runs its own
-    multi-pass engine, whose record is returned as it is.
+    On a faulty scenario the retries follow the whole planned order, so
+    the plan's waypoints keep their visit positions.  ``modsbsm`` runs its
+    own multi-pass engine, whose record is returned as it is.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -235,9 +201,14 @@ def run_scheduler(
     order, via = _plan(scenario, algorithm, direction, use_hints)
     visit_ranks, abandoned, note = order, [], ""
     if scenario.faults:
-        # Clean runs skip retry_at_tail, which would hash every visit.
-        fault_model = FaultModel(scenario.faults)
-        visit_ranks, _, abandoned = retry_at_tail(order, scenario, fault_model)
+        # A plan visits each rank once, so the retry-at-tail queue is closed
+        # form: the ranks on bad addresses, in plan order, fail their planned
+        # visit, are retried in RETRY_LIMIT - 1 rounds at the tail in that
+        # order, and are abandoned on the last.
+        bad = {spec.address for spec in scenario.faults}
+        failing = map(bad.__contains__, map(scenario.addresses.__getitem__, order))
+        abandoned = list(compress(order, failing))
+        visit_ranks = order + abandoned * (RETRY_LIMIT - 1)
         note = "failed visits retried at queue tail"
     steps = price_ranks(scenario, visit_ranks, via)
     return SchedulerRun(

@@ -2,7 +2,8 @@
 
 Raw scenarios repeat addresses, mark some bad, and put the head anywhere,
 the disk edges included.  Every plan is replayed through its ``via``
-waypoints, the faulty ones after ``retry_at_tail``; traces are then
+waypoints, a faulty baseline's visits and abandoned requests checked
+against the retry-at-tail deque loop; traces are then
 tampered with (latency, transfer, seek, an out-of-bounds address, a visit
 replaced by another requested address, a repeated step, a cut), and some
 are handed over as a ``Trace`` of list columns, before ``verify_trace``
@@ -15,6 +16,7 @@ one per visit.
 import dataclasses
 import gc
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,9 +28,9 @@ from plattersim.metrics import ServiceStep, Trace, replay, totals
 from plattersim.oracle import verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
+    RETRY_LIMIT,
     SWEEP_NAMES,
     _plan,
-    retry_at_tail,
     run_scheduler,
 )
 from plattersim.workload import GeneratorParams, MemoryRequest, Scenario, generate
@@ -117,31 +119,23 @@ def _outcome(fn, *args):
 def test_plans_price_retry_and_total_as_the_per_visit_loops(scenario):
     n = len(scenario.requests)
     for algorithm, direction, order, via in _plans(scenario):
-        faults, ref_faults = FaultModel(scenario.faults), FaultModel(scenario.faults)
-        driven = retry_at_tail(order, scenario, faults)
-        assert driven == ref.retry_at_tail(order, scenario, ref_faults), algorithm
-        assert _probes(scenario, faults) == _probes(scenario, ref_faults), algorithm
+        run = run_scheduler(scenario, algorithm, direction=direction)
+        ref_faults = FaultModel(scenario.faults)
+        ref_visits, _, ref_abandoned = ref.retry_at_tail(order, scenario, ref_faults)
+        visits = [scenario.requests[rank].address for rank in ref_visits]
+        assert run.visits == tuple(visits), algorithm
+        assert run.abandoned == tuple(ref_abandoned), algorithm
+        abandoned_at = Counter(scenario.requests[rank].address for rank in run.abandoned)
+        probes = [RETRY_LIMIT * abandoned_at[spec.address] for spec in scenario.faults]
+        assert probes == _probes(scenario, ref_faults), algorithm
 
-        visits = [scenario.requests[rank].address for rank in driven[0]]
         steps = replay(scenario.geometry, scenario.initial_head, visits, via)
         assert steps == ref.replay(scenario.geometry, scenario.initial_head, visits, via)
         assert all(type(s) is ServiceStep for s in steps)
         assert totals(steps, n).as_tuple()[:3] == ref.totals_tuple(steps)
-
-        run = run_scheduler(scenario, algorithm, direction=direction)
         assert run.steps == tuple(steps), algorithm
     run = run_scheduler(scenario, "modsbsm")
     assert list(run.steps) == ref.replay(scenario.geometry, scenario.initial_head, run.visits)
-
-
-@settings(max_examples=150, deadline=None)
-@given(scenarios(), st.data())
-def test_retry_at_tail_matches_the_deque_loop_on_repeated_ranks(scenario, data):
-    n = len(scenario.requests)
-    order = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
-    faults, ref_faults = FaultModel(scenario.faults), FaultModel(scenario.faults)
-    assert retry_at_tail(order, scenario, faults) == ref.retry_at_tail(order, scenario, ref_faults)
-    assert _probes(scenario, faults) == _probes(scenario, ref_faults)
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,7 +336,6 @@ def _clean_pass(n):
         PhysicalAddress(t, 1, 0) for t in range(geometry.num_tracks)
         if PhysicalAddress(t, 1, 0) not in requested
     )
-    order = list(range(n))
     via = {n // 2: (0,)}
     # The schedulers take the faulty path; a head on the edge track picks
     # the same plan kind (mrsa's sweep) at every size.
@@ -351,9 +344,7 @@ def _clean_pass(n):
     )
 
     def run():
-        visits, _, _ = retry_at_tail(order, scenario, FaultModel([FaultSpec(unused, 1)]))
-        addresses = [scenario.requests[rank].address for rank in visits]
-        steps = replay(geometry, scenario.initial_head, addresses, via)
+        steps = replay(geometry, scenario.initial_head, scenario.addresses, via)
         run_totals = totals(steps, n)
         assert verify_trace(scenario, steps, run_totals) == []
         for algorithm in ALGORITHM_NAMES:

@@ -17,7 +17,6 @@ from plattersim.metrics import (
     Trace,
     energy_saved,
     improvement,
-    parse_trace_csv,
     replay,
     step_costs,
     totals,
@@ -143,9 +142,11 @@ def test_trace_csv_round_trip():
         PhysicalAddress(50, 1, 0),
         [PhysicalAddress(52, 1, 1), PhysicalAddress(40, 2, 3)],
     )
-    text = trace_csv(steps)
-    assert text.splitlines()[0] == "step,track,platter,sector,seek,latency,transfer,access"
-    assert parse_trace_csv(text) == steps
+    assert trace_csv(steps) == (
+        "step,track,platter,sector,seek,latency,transfer,access\n"
+        "1,52,1,1,2,1,1,4\n"
+        "2,40,2,3,12,2,2,16\n"
+    )
 
 
 def test_trace_is_a_sequence_of_steps_built_on_access():

@@ -6,17 +6,17 @@ before the schedulers were written; cases 2, 5 and 6 live in the
 acceptance suite, so this file leans on cases 1, 3 and 4.
 """
 
+import dataclasses
 import time
 
 import pytest
 
 from plattersim.geometry import DiskGeometry, PhysicalAddress
-from plattersim.faults import FaultModel, FaultSpec
+from plattersim.faults import FaultSpec
 from plattersim.oracle import verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
     BASELINE_NAMES,
-    retry_at_tail,
     run_scheduler,
 )
 from plattersim.workload import (
@@ -245,18 +245,13 @@ def test_modsbsm_service_order_matches_engine():
 
 def test_retry_at_tail_probes_then_abandons():
     sc = _scenario((5, 1, 0), [(3, 1, 1), (7, 1, 2)], tracks=10, platters=1)
-    bad = sc.requests[0].address
-    faults = FaultModel([FaultSpec(bad, 1)])
-    visits, served, abandoned = retry_at_tail([0, 1], sc, faults)
-    assert visits == [0, 1, 0, 0]
-    assert served == [1]
-    assert abandoned == [0]
-    assert faults.probe_count(bad) == 3
+    bad, other = sc.addresses
+    run = run_scheduler(dataclasses.replace(sc, faults=(FaultSpec(bad, 1),)), "fcfs")
+    assert run.visits == (bad, other, bad, bad)
+    assert run.abandoned == (0,)
 
 
 def test_faulty_baseline_run_prices_every_probe():
-    import dataclasses
-
     scenario = builtin_case(2)
     bad = scenario.requests[5].address
     faulty = dataclasses.replace(scenario, faults=(FaultSpec(bad, 0),))
