@@ -136,14 +136,16 @@ def _load_scenario(args) -> Scenario:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
+    # energy_saved checks N here, before the run, so a bad N exits 2 with
+    # nothing on stdout whether or not the run resolves an address.
+    saving = None if args.savings is None else energy_saved(args.savings)
     run = run_scheduler(scenario, args.alg, use_hints=args.paper_directions)
     if args.format == "csv":
         sys.stdout.write(render_run_csv(run, with_trace=args.trace))
     else:
         sys.stdout.write(render_run_table(run, with_trace=args.trace))
-    if args.savings is not None:
-        # energy_saved checks N, so with nothing resolved any N prints a zero total.
-        saved = [energy_saved(args.savings) for _ in run.resolved]
+    if saving is not None:
+        saved = [saving] * len(run.resolved)
         prefix = "# " if args.format == "csv" else ""
         for address, (energy, heat) in zip(run.resolved, saved):
             print(f"{prefix}savings {render_index(address)}: energy={energy:g} fJ heat={heat:g}")

@@ -7,22 +7,38 @@ drove every visit through a deque, and ``modsbsm_execute`` ran MODSBSM on
 request objects, sorting each pass with ``arrange`` and resolving tabled
 addresses with ``bsm``.  ``PLANS`` are the baselines' plans built one track
 group at a time (``_groups``, ``_serve``), where the package slices lists
-laid out once per scenario.  The differential tests check that the versions
-in ``plattersim`` return the same values, messages, exceptions, bad-sector
-tables, probe counts and plans.
+laid out once per scenario.  ``parse_scenario`` read every line of a
+scenario file in one loop, building a fresh address per line, where the
+package reads the canonical request lines as one block.  The differential
+tests check that the versions in ``plattersim`` return the same values,
+messages, exceptions, bad-sector tables, probe counts, plans and scenarios.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
-from plattersim.faults import FaultModel
-from plattersim.geometry import GeometryBoundsError, validate
+from plattersim.faults import FaultModel, FaultSpec
+from plattersim.geometry import (
+    DiskGeometry,
+    GeometryBoundsError,
+    PhysicalAddress,
+    parse_index,
+    validate,
+)
 from plattersim.metrics import ServiceStep
 from plattersim.modsbsm import PROBE_LIMIT, decide_direction
 from plattersim.schedulers import RETRY_LIMIT
+from plattersim.workload import (
+    OPS,
+    MemoryRequest,
+    Scenario,
+    ScenarioError,
+    _parse_int,
+    _parse_kv,
+)
 
 
 def step_cost(prev, addr, sectors_per_track, via=()):
@@ -311,3 +327,85 @@ PLANS = {
     "smcc": _smcc_plan,
     "mrsa": _mrsa_plan,
 }
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse scenario text; raises :class:`ScenarioError` with line numbers.
+
+    Syntax errors come first, in line order; then a missing geometry or head;
+    then the first content error :class:`Scenario` finds, at its entry's line.
+    """
+    geometry: DiskGeometry | None = None
+    head: PhysicalAddress | None = None
+    requests: list[MemoryRequest] = []
+    faults: list[FaultSpec] = []
+    hints: list[tuple[str, str]] = []
+    linenos: defaultdict[str, list[int]] = defaultdict(list)
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        directive, *args = line.split()
+        linenos[directive].append(lineno)
+        try:
+            if directive == "geometry":
+                if geometry is not None:
+                    raise ValueError("geometry declared twice")
+                fields = dict(_parse_kv(tok) for tok in args)
+                if set(fields) != {"platters", "tracks", "sectors"}:
+                    raise ValueError("geometry needs exactly platters=, tracks= and sectors=")
+                geometry = DiskGeometry(
+                    num_platters=_parse_int(fields["platters"], "platters"),
+                    num_tracks=_parse_int(fields["tracks"], "tracks"),
+                    sectors_per_track=_parse_int(fields["sectors"], "sectors"),
+                )
+            elif directive == "head":
+                if head is not None:
+                    raise ValueError("head declared twice")
+                if len(args) != 1:
+                    raise ValueError("head takes exactly one address")
+                head = parse_index(args[0])
+            elif directive == "request":
+                if not 1 <= len(args) <= 2:
+                    raise ValueError("request takes an address and optional op=")
+                address = parse_index(args[0])
+                op = "r"
+                if len(args) == 2:
+                    key, value = _parse_kv(args[1])
+                    if key != "op" or value not in OPS:
+                        raise ValueError(f"expected op=r or op=w, got {args[1]!r}")
+                    op = value
+                requests.append(MemoryRequest(address, op, len(requests)))
+            elif directive == "bad":
+                if len(args) != 2:
+                    raise ValueError("bad takes an address and bit=")
+                address = parse_index(args[0])
+                key, value = _parse_kv(args[1])
+                if key != "bit" or value not in ("0", "1"):
+                    raise ValueError(f"expected bit=0 or bit=1, got {args[1]!r}")
+                faults.append(FaultSpec(address, int(value)))
+            elif directive == "direction":
+                if len(args) != 1:
+                    raise ValueError("direction takes one scheduler=up|down pair")
+                hints.append(_parse_kv(args[0]))
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise ScenarioError(str(exc), lineno) from None
+
+    if geometry is None:
+        raise ScenarioError("missing geometry declaration")
+    if head is None:
+        raise ScenarioError("missing head declaration")
+    try:
+        return Scenario(
+            geometry=geometry,
+            initial_head=head,
+            requests=tuple(requests),
+            faults=tuple(faults),
+            direction_hints=tuple(hints),
+        )
+    except ScenarioError as exc:
+        directive, index = exc.entry
+        raise ScenarioError(str(exc), linenos[directive][index], exc.entry) from None

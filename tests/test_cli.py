@@ -137,11 +137,12 @@ def test_savings_prints_one_row_per_resolved_address_and_their_sum(tmp_path, cap
     assert rows[-1] == "savings total (n=7): energy=1500 fJ heat=15"
 
 
-def test_savings_of_one_read_with_nothing_resolved_prints_a_zero_total(tmp_path, capsys):
+def test_savings_of_one_read_with_nothing_resolved_exits_2(tmp_path, capsys):
     path, _ = _case2_file(tmp_path, 0)
-    code, out, _ = _run(capsys, "run", "--scenario", path, "--alg", "modsbsm", "--savings", "1")
-    assert code == 0
-    assert out.endswith("savings total (n=1): energy=0 fJ heat=0\n")
+    code, out, err = _run(capsys, "run", "--scenario", path, "--alg", "modsbsm", "--savings", "1")
+    assert code == 2
+    assert out == ""
+    assert "projected_accesses must be >= 2, got 1" in err
 
 
 def test_savings_of_one_read_with_an_address_resolved_exits_2(tmp_path, capsys):
@@ -149,6 +150,7 @@ def test_savings_of_one_read_with_an_address_resolved_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, "run", "--scenario", path, "--alg", "modsbsm", "--savings", "1")
     assert code == 2
     assert "savings" not in out
+    assert out == ""
     assert "projected_accesses must be >= 2, got 1" in err
 
 

@@ -9,17 +9,20 @@ replaced by another requested address, a repeated step, a cut), and some
 are handed over as a ``Trace`` of list columns, before ``verify_trace``
 checks them.  The baselines' plans, sliced from the
 scenario's sweep lists, are checked against plans built one track group at
-a time.  A last test counts Python-level calls to show that no layer makes
-one per visit.
+a time.  Rendered scenarios, their lines mutated, parse as the per-line
+loop parses them, into one address object per distinct address.  The last
+tests count Python-level calls to show that no layer makes one per visit
+and the parser none per request line.
 """
 
 import dataclasses
 import gc
+import re
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_loops as ref
 from plattersim.faults import FaultModel, FaultSpec
@@ -33,7 +36,16 @@ from plattersim.schedulers import (
     _plan,
     run_scheduler,
 )
-from plattersim.workload import GeneratorParams, MemoryRequest, Scenario, generate
+from plattersim.workload import (
+    OPS,
+    GeneratorParams,
+    MemoryRequest,
+    Scenario,
+    ScenarioError,
+    generate,
+    parse_scenario,
+    render_scenario,
+)
 
 
 def _addresses(geometry):
@@ -302,6 +314,79 @@ def test_verify_trace_lists_the_short_address_before_the_permutation_line():
     ]
 
 
+def _moved(lines, k, draw):
+    """Line ``k``, indented or not, moved to the start or the end."""
+    line = draw(st.sampled_from(("", " "))) + lines.pop(k)
+    lines.insert(draw(st.sampled_from((0, len(lines)))), line)
+
+
+def _edited(edit):
+    def mutate(lines, k, draw):
+        lines[k] = edit(lines[k], draw)
+    return mutate
+
+
+# Each takes the rendered lines, a line index and a draw function, and changes
+# the lines in place: some keep the file valid, some make it fail.
+LINE_MUTATIONS = (
+    _edited(lambda line, draw: line + "  # note"),
+    lambda lines, k, draw: lines.insert(k, draw(st.sampled_from(("", "   ", "# note")))),
+    _edited(lambda line, draw: re.sub(r"([0-9]+)([tps])", r"0\1\2", line)),
+    _edited(lambda line, draw: line + " op=r" if line.startswith("request") and "op=" not in line else line),
+    _edited(lambda line, draw: line.replace(" ", "\t")),
+    _edited(lambda line, draw: " " + line),
+    _edited(lambda line, draw: re.sub(r"t[0-9]+p", "t0p", line, count=1)),
+    _edited(lambda line, draw: line[: draw(st.integers(0, len(line)))]),
+    _edited(lambda line, draw: re.sub(r"(?<![0-9])[0-9]+t", "999t", line, count=1)),
+    lambda lines, k, draw: lines.insert(k, lines[k]),
+    _moved,
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """Rendered raw scenarios, some writes among the requests, a few lines mutated."""
+    scenario = draw(scenarios())
+    writes = draw(st.lists(st.booleans(), min_size=len(scenario.requests), max_size=len(scenario.requests)))
+    requests = tuple(
+        dataclasses.replace(req, op=OPS[w]) for req, w in zip(scenario.requests, writes)
+    )
+    lines = render_scenario(dataclasses.replace(scenario, requests=requests)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        draw(st.sampled_from(LINE_MUTATIONS))(lines, draw(st.integers(0, len(lines) - 1)), draw)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end
+
+
+def _parsed(parse, text):
+    """The scenario text parses to, or the message, line and entry of its error."""
+    try:
+        return parse(text)
+    except ScenarioError as exc:
+        return str(exc), exc.line, exc.entry
+
+
+_HEADER = "geometry platters=2 tracks=10 sectors=8\nhead 3t1p1s\n"
+
+
+@settings(deadline=None)
+@given(scenario_texts())
+@example(_HEADER + "request 3t1p1s\nrequest 003t01p1s op=r\nrequest 4t2p0s op=w\nbad 3t1p01s bit=0\n")
+@example(_HEADER + "request 2t1p1s\nbad 2t1p1s bit=1\n request 02t1p1s op=w\n")
+@example(" request 2t1p1s\n" + _HEADER + "request 2t1p1s\n")
+@example(_HEADER + "request 2t1p1s\nrequest 2t0p1s\n")
+@example(_HEADER + "request 2t1p1s\nrequest 10t1p1s\n")
+def test_parse_scenario_matches_the_per_line_loop_and_shares_addresses(text):
+    scenario = _parsed(parse_scenario, text)
+    assert scenario == _parsed(ref.parse_scenario, text)
+    if not isinstance(scenario, Scenario):
+        return
+    assert len({id(a) for a in scenario.addresses}) == len(scenario.requested)
+    shared = dict(zip(scenario.addresses, scenario.addresses))
+    for address in (scenario.initial_head, *(spec.address for spec in scenario.faults)):
+        assert shared.get(address, address) is address
+
+
 def _calls(fn):
     """Python-level function calls (profile ``call`` events) made while ``fn`` runs.
 
@@ -358,3 +443,18 @@ def test_no_python_call_per_visit():
     small, large = _clean_pass(10**3), _clean_pass(10**4)
     small(), large()  # warm the ABC caches that Counter's first isinstance fills
     assert _calls(small) == _calls(large)
+
+
+def _canonical_text(n):
+    """A rendered scenario of ``n`` requests over ``n // 4`` addresses, a third of them writes."""
+    pool = generate(DiskGeometry(4, 1000, 16), GeneratorParams(request_count=n // 4, seed=3, bad_count=2))
+    requests = tuple(
+        MemoryRequest(pool.addresses[i % len(pool.addresses)], OPS[i % 3 == 0], i) for i in range(n)
+    )
+    return render_scenario(dataclasses.replace(pool, requests=requests))
+
+
+def test_no_python_call_per_request_line():
+    small, large = _canonical_text(10**3), _canonical_text(10**4)
+    assert len(parse_scenario(large).requested) == 10**4 // 4
+    assert _calls(lambda: parse_scenario(small)) == _calls(lambda: parse_scenario(large))
