@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import attrgetter, ge, gt, itemgetter, ne
@@ -52,6 +52,7 @@ from typing import Iterable, Sequence
 
 from .faults import FaultSpec
 from .geometry import (
+    _INDEX_RE,
     DiskGeometry,
     GeometryBoundsError,
     PhysicalAddress,
@@ -69,7 +70,6 @@ OPS = ("r", "w")
 # Platter 0 does not match, so every address it admits is a valid
 # PhysicalAddress.
 _REQUEST_LINE = re.compile(r"request ([0-9]+t0*[1-9][0-9]*p[0-9]+s)(?: op=[rw])?")
-_NUMBER = re.compile(r"[0-9]+")
 
 
 class ScenarioError(ValueError):
@@ -278,7 +278,6 @@ def _parse_int(value: str, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-@dataclass
 class _Draft:
     """What the per-line loop and the request block have read so far.
 
@@ -286,13 +285,14 @@ class _Draft:
     so equal addresses parsed from any line come out as one object.
     """
 
-    geometry: DiskGeometry | None = None
-    head: PhysicalAddress | None = None
-    requests: list[MemoryRequest] = field(default_factory=list)
-    faults: list[FaultSpec] = field(default_factory=list)
-    hints: list[tuple[str, str]] = field(default_factory=list)
-    linenos: defaultdict[str, Sequence[int]] = field(default_factory=lambda: defaultdict(list))
-    shared: dict[PhysicalAddress, PhysicalAddress] = field(default_factory=dict)
+    def __init__(self):
+        self.geometry: DiskGeometry | None = None
+        self.head: PhysicalAddress | None = None
+        self.requests: list[MemoryRequest] = []
+        self.faults: list[FaultSpec] = []
+        self.hints: list[tuple[str, str]] = []
+        self.linenos: defaultdict[str, Sequence[int]] = defaultdict(list)
+        self.shared: dict[PhysicalAddress, PhysicalAddress] = {}
 
     def address(self, text: str) -> PhysicalAddress:
         address = parse_index(text)
@@ -398,7 +398,7 @@ def _read_block(draft: _Draft, lines: list[str]) -> bool:
     except TypeError:
         return False
     distinct = dict.fromkeys(texts)
-    numbers = map(int, _NUMBER.findall(" ".join(distinct)))
+    numbers = map(int, chain.from_iterable(_INDEX_RE.findall(" ".join(distinct))))
     # The pattern admits no sign and no platter 0, so PhysicalAddress's
     # checks would pass: build the named tuples without them.
     parsed = list(map(tuple.__new__, repeat(PhysicalAddress), zip(numbers, numbers, numbers)))
