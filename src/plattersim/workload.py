@@ -18,19 +18,11 @@ is omitted by the renderer when it is ``r``.  Parsing checks only syntax;
 :class:`Scenario` checks the content (bounds, duplicate ``bad`` entries,
 hints); every error raised for a line carries that line's number, once.
 
-The parser reads the request lines as one block when they are canonical:
-every line from the first that starts with ``request`` to the last reads
-``request <t>t<p>p<s>s``, optionally followed by `` op=r`` or `` op=w``, and
-names no platter 0.  Each distinct address text in the block is parsed
-once, and the lines outside it go through the per-line loop with their own
-line numbers.  Any other file (a comment, blank line or tab inside the
-block, leading whitespace, a bare ``request``, platter 0, or a ``request``
-directive outside the block) takes the per-line loop from its first line,
-so the loop alone raises syntax errors, in line order.  Both paths intern
-addresses in one table keyed by value: a parsed scenario holds one
-:class:`PhysicalAddress` object per distinct address (``01t1p1s`` and
-``1t1p1s`` included), which the head, every request and every ``bad`` line
-naming it share, however the file is formatted.
+Parsing interns addresses in one table keyed by value: a parsed scenario
+holds one :class:`PhysicalAddress` object per distinct address (``01t1p1s``
+and ``1t1p1s`` included), which the head, every request and every ``bad``
+line naming it share, so repeated requests match dictionary keys by
+identity.
 
 The arrival order also fixes how same-track requests are queued: the pending
 queue is a track-sorted list kept in the direction the queue arrived in.  A
@@ -42,34 +34,25 @@ forward or backward depending on which way the head crosses the track.
 from __future__ import annotations
 
 import random
-import re
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress
 from operator import attrgetter, ge, gt, itemgetter, ne
-from typing import Iterable, Sequence
 
 from .faults import FaultSpec
 from .geometry import (
-    _INDEX_RE,
     DiskGeometry,
     GeometryBoundsError,
     PhysicalAddress,
     parse_index,
     render_index,
     validate,
-    within,
 )
 
 DIRECTION_HINT_NAMES = ("scan", "cscan", "look", "clook")
 DIRECTIONS = ("up", "down")
 OPS = ("r", "w")
-
-# A canonical request line, as render_scenario writes it (op=r allowed).
-# Platter 0 does not match, so every address it admits is a valid
-# PhysicalAddress.
-_REQUEST_LINE = re.compile(r"request ([0-9]+t0*[1-9][0-9]*p[0-9]+s)(?: op=[rw])?")
 
 
 class ScenarioError(ValueError):
@@ -124,18 +107,13 @@ class Scenario:
         object.__setattr__(self, "faults", tuple(self.faults))
         object.__setattr__(self, "direction_hints", tuple(self.direction_hints))
         _check_bounds(self.geometry, self.initial_head, "head", 0)
-        # Ranks and bounds are checked in columns; the per-entry loop runs
-        # only when one fails, to name the first failing entry.
-        ranks = map(attrgetter("arrival_rank"), self.requests)
-        columns = list(zip(*self.addresses))
-        if any(map(ne, ranks, range(len(self.requests)))) or not within(self.geometry, columns):
-            for i, req in enumerate(self.requests):
-                _check_bounds(self.geometry, req.address, "request", i)
-                if req.arrival_rank != i:
-                    raise ScenarioError(
-                        f"request {i} carries arrival_rank {req.arrival_rank}",
-                        entry=("request", i),
-                    )
+        for i, req in enumerate(self.requests):
+            _check_bounds(self.geometry, req.address, "request", i)
+            if req.arrival_rank != i:
+                raise ScenarioError(
+                    f"request {i} carries arrival_rank {req.arrival_rank}",
+                    entry=("request", i),
+                )
         seen = set()
         for i, spec in enumerate(self.faults):
             _check_bounds(self.geometry, spec.address, "bad", i)
@@ -278,158 +256,91 @@ def _parse_int(value: str, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-class _Draft:
-    """What the per-line loop and the request block have read so far.
-
-    ``shared`` maps each address value to the one object that stands for it,
-    so equal addresses parsed from any line come out as one object.
-    """
-
-    def __init__(self):
-        self.geometry: DiskGeometry | None = None
-        self.head: PhysicalAddress | None = None
-        self.requests: list[MemoryRequest] = []
-        self.faults: list[FaultSpec] = []
-        self.hints: list[tuple[str, str]] = []
-        self.linenos: defaultdict[str, Sequence[int]] = defaultdict(list)
-        self.shared: dict[PhysicalAddress, PhysicalAddress] = {}
-
-    def address(self, text: str) -> PhysicalAddress:
-        address = parse_index(text)
-        return self.shared.setdefault(address, address)
-
-    def scenario(self) -> Scenario:
-        if self.geometry is None:
-            raise ScenarioError("missing geometry declaration")
-        if self.head is None:
-            raise ScenarioError("missing head declaration")
-        try:
-            return Scenario(
-                geometry=self.geometry,
-                initial_head=self.head,
-                requests=tuple(self.requests),
-                faults=tuple(self.faults),
-                direction_hints=tuple(self.hints),
-            )
-        except ScenarioError as exc:
-            directive, index = exc.entry
-            raise ScenarioError(str(exc), self.linenos[directive][index], exc.entry) from None
-
-
-def _read_lines(draft: _Draft, numbered: Iterable[tuple[int, str]], block_read: bool) -> bool:
-    """Read ``(lineno, line)`` pairs one at a time into ``draft``.
-
-    With ``block_read`` the request block is already in ``draft``, so the
-    loop stops at a ``request`` directive and returns False.
-    """
-    for lineno, raw in numbered:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        directive, *args = line.split()
-        if directive == "request" and block_read:
-            return False
-        draft.linenos[directive].append(lineno)
-        try:
-            if directive == "geometry":
-                if draft.geometry is not None:
-                    raise ValueError("geometry declared twice")
-                fields = dict(_parse_kv(tok) for tok in args)
-                if set(fields) != {"platters", "tracks", "sectors"}:
-                    raise ValueError("geometry needs exactly platters=, tracks= and sectors=")
-                draft.geometry = DiskGeometry(
-                    num_platters=_parse_int(fields["platters"], "platters"),
-                    num_tracks=_parse_int(fields["tracks"], "tracks"),
-                    sectors_per_track=_parse_int(fields["sectors"], "sectors"),
-                )
-            elif directive == "head":
-                if draft.head is not None:
-                    raise ValueError("head declared twice")
-                if len(args) != 1:
-                    raise ValueError("head takes exactly one address")
-                draft.head = draft.address(args[0])
-            elif directive == "request":
-                if not 1 <= len(args) <= 2:
-                    raise ValueError("request takes an address and optional op=")
-                address = draft.address(args[0])
-                op = "r"
-                if len(args) == 2:
-                    key, value = _parse_kv(args[1])
-                    if key != "op" or value not in OPS:
-                        raise ValueError(f"expected op=r or op=w, got {args[1]!r}")
-                    op = value
-                draft.requests.append(MemoryRequest(address, op, len(draft.requests)))
-            elif directive == "bad":
-                if len(args) != 2:
-                    raise ValueError("bad takes an address and bit=")
-                address = draft.address(args[0])
-                key, value = _parse_kv(args[1])
-                if key != "bit" or value not in ("0", "1"):
-                    raise ValueError(f"expected bit=0 or bit=1, got {args[1]!r}")
-                draft.faults.append(FaultSpec(address, int(value)))
-            elif directive == "direction":
-                if len(args) != 1:
-                    raise ValueError("direction takes one scheduler=up|down pair")
-                draft.hints.append(_parse_kv(args[0]))
-            else:
-                raise ValueError(f"unknown directive {directive!r}")
-        except ValueError as exc:
-            raise ScenarioError(str(exc), lineno) from None
-    return True
-
-
-def _read_block(draft: _Draft, lines: list[str]) -> bool:
-    """Read the request lines into ``draft`` as one block, the rest by :func:`_read_lines`.
-
-    The block runs from the first line that starts with ``request`` to the
-    last.  Returns False, and the file takes the per-line loop, unless every
-    line of the block is canonical (``_REQUEST_LINE``) and no other line
-    holds a ``request`` directive.
-    """
-    starts = list(map(str.startswith, lines, repeat("request")))
-    if True not in starts:
-        return False
-    first = starts.index(True)
-    end = len(starts) - starts[::-1].index(True)
-    block = lines[first:end]
-    try:
-        # A line the pattern rejects matches None, which has no group 1.
-        texts = list(map(itemgetter(1), map(_REQUEST_LINE.fullmatch, block)))
-    except TypeError:
-        return False
-    distinct = dict.fromkeys(texts)
-    numbers = map(int, chain.from_iterable(_INDEX_RE.findall(" ".join(distinct))))
-    # The pattern admits no sign and no platter 0, so PhysicalAddress's
-    # checks would pass: build the named tuples without them.
-    parsed = list(map(tuple.__new__, repeat(PhysicalAddress), zip(numbers, numbers, numbers)))
-    by_text = dict(zip(distinct, map(draft.shared.setdefault, parsed, parsed)))
-    # Each field set as the dataclass's own __init__ sets it, with no Python
-    # call per line.  __post_init__ would pass: ranks count from 0, and a
-    # canonical line ends in "s" (no op=), "r" or "w".
-    n = len(block)
-    draft.requests = list(map(object.__new__, repeat(MemoryRequest, n)))
-    for name, values in (
-        ("address", map(by_text.__getitem__, texts)),
-        ("op", map(OPS.__getitem__, map(str.endswith, block, repeat("w")))),
-        ("arrival_rank", range(n)),
-    ):
-        deque(map(object.__setattr__, draft.requests, repeat(name), values), maxlen=0)
-    draft.linenos["request"] = range(first + 1, end + 1)
-    return _read_lines(draft, chain(enumerate(lines[:first], 1), enumerate(lines[end:], end + 1)), True)
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers.
 
     Syntax errors come first, in line order; then a missing geometry or head;
     then the first content error :class:`Scenario` finds, at its entry's line.
     """
-    lines = text.splitlines()
-    draft = _Draft()
-    if not _read_block(draft, lines):
-        draft = _Draft()
-        _read_lines(draft, enumerate(lines, 1), False)
-    return draft.scenario()
+    geometry: DiskGeometry | None = None
+    head: PhysicalAddress | None = None
+    requests: list[MemoryRequest] = []
+    faults: list[FaultSpec] = []
+    hints: list[tuple[str, str]] = []
+    linenos: defaultdict[str, list[int]] = defaultdict(list)
+    shared: dict[PhysicalAddress, PhysicalAddress] = {}
+
+    def shared_address(text: str) -> PhysicalAddress:
+        parsed = parse_index(text)
+        return shared.setdefault(parsed, parsed)
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        directive, *args = line.split()
+        linenos[directive].append(lineno)
+        try:
+            if directive == "geometry":
+                if geometry is not None:
+                    raise ValueError("geometry declared twice")
+                fields = dict(_parse_kv(tok) for tok in args)
+                if set(fields) != {"platters", "tracks", "sectors"}:
+                    raise ValueError("geometry needs exactly platters=, tracks= and sectors=")
+                geometry = DiskGeometry(
+                    num_platters=_parse_int(fields["platters"], "platters"),
+                    num_tracks=_parse_int(fields["tracks"], "tracks"),
+                    sectors_per_track=_parse_int(fields["sectors"], "sectors"),
+                )
+            elif directive == "head":
+                if head is not None:
+                    raise ValueError("head declared twice")
+                if len(args) != 1:
+                    raise ValueError("head takes exactly one address")
+                head = shared_address(args[0])
+            elif directive == "request":
+                if not 1 <= len(args) <= 2:
+                    raise ValueError("request takes an address and optional op=")
+                address = shared_address(args[0])
+                op = "r"
+                if len(args) == 2:
+                    key, value = _parse_kv(args[1])
+                    if key != "op" or value not in OPS:
+                        raise ValueError(f"expected op=r or op=w, got {args[1]!r}")
+                    op = value
+                requests.append(MemoryRequest(address, op, len(requests)))
+            elif directive == "bad":
+                if len(args) != 2:
+                    raise ValueError("bad takes an address and bit=")
+                address = shared_address(args[0])
+                key, value = _parse_kv(args[1])
+                if key != "bit" or value not in ("0", "1"):
+                    raise ValueError(f"expected bit=0 or bit=1, got {args[1]!r}")
+                faults.append(FaultSpec(address, int(value)))
+            elif directive == "direction":
+                if len(args) != 1:
+                    raise ValueError("direction takes one scheduler=up|down pair")
+                hints.append(_parse_kv(args[0]))
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise ScenarioError(str(exc), lineno) from None
+
+    if geometry is None:
+        raise ScenarioError("missing geometry declaration")
+    if head is None:
+        raise ScenarioError("missing head declaration")
+    try:
+        return Scenario(
+            geometry=geometry,
+            initial_head=head,
+            requests=tuple(requests),
+            faults=tuple(faults),
+            direction_hints=tuple(hints),
+        )
+    except ScenarioError as exc:
+        directive, index = exc.entry
+        raise ScenarioError(str(exc), linenos[directive][index], exc.entry) from None
 
 
 def render_scenario(scenario: Scenario) -> str:

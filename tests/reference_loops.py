@@ -7,11 +7,11 @@ drove every visit through a deque, and ``modsbsm_execute`` ran MODSBSM on
 request objects, sorting each pass with ``arrange`` and resolving tabled
 addresses with ``bsm``.  ``PLANS`` are the baselines' plans built one track
 group at a time (``_groups``, ``_serve``), where the package slices lists
-laid out once per scenario.  ``parse_scenario`` read every line of a
-scenario file in one loop, building a fresh address per line, where the
-package reads the canonical request lines as one block.  The differential
-tests check that the versions in ``plattersim`` return the same values,
-messages, exceptions, bad-sector tables, probe counts, plans and scenarios.
+laid out once per scenario.  ``parse_scenario`` builds a fresh address
+for every line, where the package's parser shares one object per distinct
+address.  The differential tests check that the versions in ``plattersim``
+return the same values, messages, exceptions, bad-sector tables, probe
+counts, plans and scenarios.
 """
 
 from __future__ import annotations
