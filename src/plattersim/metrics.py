@@ -15,23 +15,25 @@ The rule lives only in one column kernel, ``step_costs``, with no Python
 call per step: it prices the steps of a walk given as (track, platter,
 sector) columns.
 Addresses are bounds-checked once, where they enter: ``Scenario`` checks the
-head and every request address, so ``price_ranks``, which prices a walk over
-a scenario's arrival ranks (every scheduler, MODSBSM included, and the
-oracle's order), checks nothing again.  ``replay`` prices a foreign visit
-sequence from a start position and checks its addresses first, and
-``plattersim.oracle.verify_trace`` checks those of any steps it is given.
+head and every request address, so ``SchedulerRun.priced``, which prices a
+walk over a scenario's arrival ranks and builds the run record (every
+scheduler, MODSBSM included, and the oracle's order), checks nothing again.
+``replay`` prices a foreign visit sequence from a start position and checks
+its addresses first, and ``plattersim.oracle.verify_trace`` checks those of
+any steps it is given.
 ``via`` waypoints are edge tracks the arm passes between two visits (SCAN
 turning at the disk edge, C-SCAN's full-stroke return); seek includes them.
 Aggregates follow the usual naming — TSKT (total seek), TRL (total
 rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 (TDAT per request).
 
-Both return a ``Trace``, the visits and the three cost columns, read
-as ``ServiceStep`` rows built only on access.  ``ServiceStep``, like
+``replay`` returns, and a run record keeps as ``steps``, a ``Trace``: the
+visits and the three cost columns, read as ``ServiceStep`` rows built only
+on access.  ``ServiceStep``, like
 :class:`~plattersim.geometry.PhysicalAddress`, is a named tuple, so hashing
 and equality run in C and a step compares equal to the plain tuple of its
-fields.  ``SchedulerRun``, the one record of a run, baseline, MODSBSM or
-oracle, keeps its ``Trace`` as ``steps``.
+fields.  ``SchedulerRun`` is the one record of a run, baseline, MODSBSM or
+oracle, and ``SchedulerRun.priced`` the one place one is built.
 
 ``energy_saved`` prices the reads that MODSBSM's bad-sector table avoids with
 two constants: ``ENERGY_PER_ACCESS`` (100 fJ) and ``HEAT_PER_ACCESS`` (1 unit)
@@ -172,21 +174,6 @@ def replay(
     return Trace(visits, *map(tuple, costs))
 
 
-def price_ranks(
-    scenario: Scenario,
-    ranks: Iterable[int],
-    via: Mapping[int, Sequence[int]] | None = None,
-) -> Trace:
-    """Price a walk over the scenario's arrival ranks from its initial head, as ``replay`` does.
-
-    Nothing is checked again: ``Scenario`` checked the head and every request address.
-    """
-    visits = tuple(map(scenario.addresses.__getitem__, ranks))
-    positions = columns(visits, scenario.initial_head)
-    costs = step_costs(scenario.geometry.sectors_per_track, positions, via)
-    return Trace(visits, *map(tuple, costs))
-
-
 @dataclass(frozen=True)
 class AccessTotals:
     """Aggregate cost of a run: tskt + trl + tdtt = tdat, adat = tdat / requests."""
@@ -237,6 +224,29 @@ class SchedulerRun:
     note: str = ""
     decisions: tuple[DirectionDecision, ...] = ()
 
+    @classmethod
+    def priced(
+        cls,
+        scenario: Scenario,
+        algorithm: str,
+        order: Iterable[int],
+        walk: Iterable[int],
+        via: Mapping[int, Sequence[int]] | None = None,
+        **fields,
+    ) -> SchedulerRun:
+        """The record of a walk over the scenario's arrival ranks, priced from its head.
+
+        Pricing is ``replay``'s, with nothing checked again: ``Scenario``
+        checked the head and every request address.  The totals divide by the
+        queue length, so ADAT stays TDAT per request when failed probes add
+        visits or table answers save them.
+        """
+        visits = tuple(map(scenario.addresses.__getitem__, walk))
+        positions = columns(visits, scenario.initial_head)
+        costs = step_costs(scenario.geometry.sectors_per_track, positions, via)
+        steps = Trace(visits, *map(tuple, costs))
+        return cls(algorithm, tuple(order), steps, totals(steps, len(scenario.requests)), **fields)
+
     @property
     def visits(self) -> tuple[PhysicalAddress, ...]:
         """The steps' addresses: every physical visit, failed probes included."""
@@ -256,9 +266,8 @@ class SchedulerRun:
 def totals(steps: Sequence[ServiceStep], request_count: int | None = None) -> AccessTotals:
     """Sum a step sequence into AccessTotals.
 
-    ``request_count`` defaults to the number of steps.  Scheduler runs pass
-    their queue length, so ADAT stays TDAT per request when failed probes
-    add visits or table answers save them.
+    ``request_count`` defaults to the number of steps; ``SchedulerRun.priced``
+    passes the queue length.
     """
     trace = Trace.of(steps)
     count = len(trace) if request_count is None else request_count

@@ -20,8 +20,8 @@ RD < LD the descending one.  A tie resumes against the arm's recent
 movement — if it was last moving from high to low tracks the sweep goes
 ascending, otherwise descending; with no history it goes ascending.
 Directions are spelled ``"up"``/``"down"``, as elsewhere in the package.
-The passes record the ranks they visit; :func:`plattersim.metrics.price_ranks`
-prices them.
+The passes record the ranks they visit, and
+:meth:`plattersim.metrics.SchedulerRun.priced` prices them into the run record.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import ClassVar, Iterable
 
 from .faults import FaultModel
 from .geometry import PhysicalAddress
-from .metrics import SchedulerRun, columns, price_ranks, totals
+from .metrics import SchedulerRun, columns
 from .workload import Scenario
 
 PROBE_LIMIT = 3  # physical probes of one bad address, at most
@@ -147,15 +147,8 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
                 track = t
         pending = carry
 
-    steps = price_ranks(scenario, walk)
-    return SchedulerRun(
-        algorithm="modsbsm",
-        order=tuple(served),
-        steps=steps,
-        totals=totals(steps, len(addresses)),
-        # A tabled address is carried to the next pass, whose probe finalizes it.
-        bad_sector_table=tuple(
-            BadSectorEntry(index=addr, prescribed_bit=faults.true_bit(addr)) for addr in tabled
-        ),
-        decisions=tuple(decisions),
+    # A tabled address is carried to the next pass, whose probe finalizes it.
+    table = tuple(BadSectorEntry(addr, faults.true_bit(addr)) for addr in tabled)
+    return SchedulerRun.priced(
+        scenario, "modsbsm", served, walk, bad_sector_table=table, decisions=tuple(decisions)
     )

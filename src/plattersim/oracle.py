@@ -36,7 +36,7 @@ from operator import lt
 from typing import Sequence
 
 from .geometry import GeometryBoundsError, validate, within
-from .metrics import AccessTotals, SchedulerRun, ServiceStep, Trace, columns, price_ranks, step_costs, totals
+from .metrics import AccessTotals, SchedulerRun, ServiceStep, Trace, columns, step_costs
 from .modsbsm import PROBE_LIMIT
 from .workload import Scenario
 
@@ -80,8 +80,7 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Sched
             best_cost = cost
             best_perm = perm
 
-    steps = price_ranks(scenario, best_perm)
-    return SchedulerRun("oracle", best_perm, steps, totals(steps))
+    return SchedulerRun.priced(scenario, "oracle", best_perm, best_perm)
 
 
 def verify_trace(

@@ -7,9 +7,9 @@ disagrees with it.  A report's ``totals`` maps each algorithm to its
 ``AccessTotals`` in canonical (``ALGORITHM_NAMES``) order.
 ``compare_builtin_suite`` is the sum of the six per-case reports: totals
 summed per algorithm, reference deltas and notes concatenated in case
-order.  The two headline percentages compare the proposed scheduler's ADAT
-against the mean of the six classic schedulers and against the mean of the
-five peer policies.
+order.  A report derives its two headline percentages from its totals:
+they compare the proposed scheduler's ADAT against the mean of the six
+classic schedulers and against the mean of the five peer policies.
 
 All rendering here is deterministic: same inputs, same bytes.
 """
@@ -127,11 +127,24 @@ class Discrepancy:
 class ComparisonReport:
     label: str
     totals: dict[str, AccessTotals]
-    improvement_vs_traditional: float | None
-    improvement_vs_referred: float | None
     discrepancies: tuple[Discrepancy, ...]
     notes: tuple[str, ...]
     request_count: int
+
+    @property
+    def improvement_vs_traditional(self) -> float | None:
+        return self._improvement_over(TRADITIONAL_ALGORITHMS)
+
+    @property
+    def improvement_vs_referred(self) -> float | None:
+        return self._improvement_over(REFERRED_ALGORITHMS)
+
+    def _improvement_over(self, group: tuple[str, ...]) -> float | None:
+        """The proposed scheduler's ADAT gain over the group's mean, if the report has them all."""
+        totals = self.totals
+        if PROPOSED_ALGORITHM not in totals or not all(name in totals for name in group):
+            return None
+        return improvement([totals[name].adat for name in group], totals[PROPOSED_ALGORITHM].adat)
 
 
 # Built once: scenarios are frozen, so every report can share them.
@@ -159,20 +172,6 @@ def normalize_algorithms(algorithms: Iterable[str] | None) -> tuple[str, ...]:
     return tuple(name for name in ALGORITHM_NAMES if name in chosen)
 
 
-def _improvements(
-    totals: Mapping[str, AccessTotals],
-) -> tuple[float | None, float | None]:
-    if PROPOSED_ALGORITHM not in totals:
-        return None, None
-    candidate = totals[PROPOSED_ALGORITHM].adat
-    return tuple(
-        improvement([totals[name].adat for name in group], candidate)
-        if all(name in totals for name in group)
-        else None
-        for group in (TRADITIONAL_ALGORITHMS, REFERRED_ALGORITHMS)
-    )
-
-
 def _case_discrepancies(
     case_id: int, totals: Mapping[str, AccessTotals]
 ) -> list[Discrepancy]:
@@ -198,7 +197,6 @@ def compare_scenario(
     totals = {
         name: run_scheduler(scenario, name, use_hints=paper_directions).totals for name in names
     }
-    vs_traditional, vs_referred = _improvements(totals)
     case_id = identify_builtin(scenario)
     discrepancies: tuple[Discrepancy, ...] = ()
     notes: tuple[str, ...] = ()
@@ -211,8 +209,6 @@ def compare_scenario(
     return ComparisonReport(
         label=label,
         totals=totals,
-        improvement_vs_traditional=vs_traditional,
-        improvement_vs_referred=vs_referred,
         discrepancies=discrepancies,
         notes=notes,
         request_count=len(scenario.requests),
@@ -234,12 +230,9 @@ def compare_builtin_suite(
         name: AccessTotals(*map(sum, zip(*(_SUMMED_FIELDS(r.totals[name]) for r in reports))))
         for name in names
     }
-    vs_traditional, vs_referred = _improvements(totals)
     return ComparisonReport(
         label="built-in cases " + ",".join(str(c) for c in BUILTIN_CASE_IDS),
         totals=totals,
-        improvement_vs_traditional=vs_traditional,
-        improvement_vs_referred=vs_referred,
         discrepancies=tuple(d for r in reports for d in r.discrepancies),
         notes=tuple(n for r in reports for n in r.notes),
         request_count=sum(r.request_count for r in reports),

@@ -2,15 +2,15 @@
 
 Every policy is a plan: an order over arrival ranks plus the head path,
 ``via``, which maps a visit position to the edge tracks the arm passes
-on its way there.  Pricing is :func:`plattersim.metrics.price_ranks` of
-the planned ranks through those waypoints; it checks no bounds, because
-``Scenario`` checked the head and every request address once (a foreign
-visit sequence goes through ``metrics.replay``, which checks them, and any
-steps through ``oracle.verify_trace``).  SCAN turns at the physical edge of
-the disk and C-SCAN additionally rides the full-stroke return
-(``num_tracks - 1``) before continuing in its original direction; LOOK and
-C-LOOK reverse (or jump) at the extreme request, so their plans name no
-waypoints.
+on its way there.  :meth:`plattersim.metrics.SchedulerRun.priced` prices
+the planned ranks through those waypoints into the run record; it checks
+no bounds, because ``Scenario`` checked the head and every request address
+once (a foreign visit sequence goes through ``metrics.replay``, which
+checks them, and any steps through ``oracle.verify_trace``).  SCAN turns
+at the physical edge of the disk and C-SCAN additionally rides the
+full-stroke return (``num_tracks - 1``) before continuing in its original
+direction; LOOK and C-LOOK reverse (or jump) at the extreme request, so
+their plans name no waypoints.
 
 Same-track requests follow the queue convention described in
 :mod:`plattersim.workload`: the pending queue is a track-sorted list kept
@@ -23,7 +23,8 @@ ignores all of this and services the queue as it arrived.
 
 No baseline handles bad sectors: each request to a bad address is tried
 ``RETRY_LIMIT`` times, on its planned visit and then in rounds at the
-queue tail in plan order, and is then abandoned.
+queue tail in plan order, and is then abandoned.  Only a run that
+abandons a request carries the note that failed visits were retried.
 
 The peer policies are all LOOK variants differing only in how the initial
 direction is picked:
@@ -45,7 +46,7 @@ from itertools import compress
 from typing import Callable
 
 from . import modsbsm
-from .metrics import SchedulerRun, price_ranks, totals
+from .metrics import SchedulerRun
 from .workload import DIRECTION_HINT_NAMES, DIRECTIONS, Scenario
 
 SWEEP_NAMES = DIRECTION_HINT_NAMES
@@ -60,7 +61,7 @@ DEFAULT_SWEEP_DIRECTION = "down"
 RETRY_LIMIT = 3  # attempts per request to a bad address before a baseline abandons it
 
 # A visit order over arrival ranks, and the head path's waypoints keyed by
-# visit position (see metrics.replay and metrics.price_ranks).
+# visit position (see metrics.replay and metrics.SchedulerRun.priced).
 Plan = tuple[list[int], dict[int, tuple[int, ...]]]
 
 
@@ -150,31 +151,17 @@ PLANS: dict[str, Callable[[Scenario], Plan]] = {
 }
 
 
-def resolve_direction(
-    scenario: Scenario,
-    algorithm: str,
-    direction: str | None = None,
-    use_hints: bool = False,
-) -> str:
-    """Sweep direction: explicit argument, then scenario hint, then default."""
-    if direction is not None:
-        if direction not in DIRECTIONS:
-            raise ValueError(f"direction must be up or down, got {direction!r}")
-        return direction
-    if use_hints:
-        hinted = scenario.hint(algorithm)
-        if hinted is not None:
-            return hinted
-    return DEFAULT_SWEEP_DIRECTION
-
-
 def _plan(scenario: Scenario, algorithm: str, direction: str | None, use_hints: bool) -> Plan:
+    """The algorithm's plan; a sweep goes ``direction``, else the hint if used, else the default."""
     if not scenario.requests:
         raise ValueError("scenario has no requests")
-    if algorithm in SWEEP_NAMES:
-        resolved = resolve_direction(scenario, algorithm, direction, use_hints)
-        return _sweep_plan(scenario, algorithm, resolved)
-    return PLANS[algorithm](scenario)
+    if algorithm not in SWEEP_NAMES:
+        return PLANS[algorithm](scenario)
+    if direction is None:
+        direction = (use_hints and scenario.hint(algorithm)) or DEFAULT_SWEEP_DIRECTION
+    elif direction not in DIRECTIONS:
+        raise ValueError(f"direction must be up or down, got {direction!r}")
+    return _sweep_plan(scenario, algorithm, direction)
 
 
 def run_scheduler(
@@ -199,7 +186,7 @@ def run_scheduler(
         return modsbsm.execute(scenario)
 
     order, via = _plan(scenario, algorithm, direction, use_hints)
-    visit_ranks, abandoned, note = order, [], ""
+    abandoned: tuple[int, ...] = ()
     if scenario.faults:
         # A plan visits each rank once, so the retry-at-tail queue is closed
         # form: the ranks on bad addresses, in plan order, fail their planned
@@ -207,15 +194,8 @@ def run_scheduler(
         # order, and are abandoned on the last.
         bad = {spec.address for spec in scenario.faults}
         failing = map(bad.__contains__, map(scenario.addresses.__getitem__, order))
-        abandoned = list(compress(order, failing))
-        visit_ranks = order + abandoned * (RETRY_LIMIT - 1)
-        note = "failed visits retried at queue tail"
-    steps = price_ranks(scenario, visit_ranks, via)
-    return SchedulerRun(
-        algorithm=algorithm,
-        order=tuple(order),
-        steps=steps,
-        totals=totals(steps, len(scenario.requests)),
-        abandoned=tuple(abandoned),
-        note=note,
+        abandoned = tuple(compress(order, failing))
+    return SchedulerRun.priced(
+        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], via,
+        abandoned=abandoned, note="failed visits retried at queue tail" if abandoned else "",
     )

@@ -4,17 +4,20 @@
 built directly.  Bad-sector invariants: a small address pool makes the
 queue repeat addresses, some of them bad, with writes, one to three
 platters, any sector count and any head position; one address is always
-requested at least three times and is usually bad.  SSTF: a small track
-pool makes equidistant neighbours, repeated tracks and a head on, below or
-above the pending tracks common, and the queue arrives ascending,
-descending or at random.  Parser: the bad-sector scenarios plus drawn
-direction hints round-trip through their text, and one injected content
-error is reported at its own line wherever the geometry line sits.
-MODSBSM: the bad-sector scenarios, and the same with the head on an edge
-track, run the same as the request-object reference engine.
+requested at least three times and is usually bad, and the fault table
+sometimes names one address that no request asks for, when the disk has
+one.  SSTF: a small track pool makes equidistant neighbours, repeated
+tracks and a head on, below or above the pending tracks common, and the
+queue arrives ascending, descending or at random.  Parser: the bad-sector
+scenarios plus drawn direction hints round-trip through their text, and
+one injected content error is reported at its own line wherever the
+geometry line sits.  MODSBSM: the bad-sector scenarios, and the same with
+the head on an edge track, run the same as the request-object reference
+engine.
 """
 
 from dataclasses import replace
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -60,6 +63,15 @@ def scenarios(draw):
     bad = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
     if repeated not in bad and not draw(st.booleans()):
         bad.append(repeated)
+    # Sometimes a bad address outside the queue, on which no visit fails.
+    disk = product(
+        range(geometry.num_tracks),
+        range(1, geometry.num_platters + 1),
+        range(geometry.sectors_per_track),
+    )
+    outside = [a for a in map(PhysicalAddress._make, disk) if a not in pool]
+    if outside and draw(st.booleans()):
+        bad.append(draw(st.sampled_from(outside)))
     return Scenario(
         geometry=geometry,
         initial_head=draw(address),
@@ -88,6 +100,7 @@ def test_bad_addresses_probed_at_most_three_times_and_traces_verify(scenario):
         run = run_scheduler(scenario, algorithm)
         assert sorted(run.order) == ranks, algorithm
         assert run.totals == totals(run.steps, requests), algorithm
+        assert bool(run.note) == bool(run.abandoned), algorithm
         assert verify_trace(scenario, run.steps, run.totals) == [], algorithm
 
 

@@ -203,6 +203,15 @@ def test_direction_resolution_precedence():
     assert default.order[0] != hinted.order[0]  # default sweeps down
 
 
+def test_invalid_direction_value_rejected_after_empty_queue():
+    with pytest.raises(ValueError) as excinfo:
+        run_scheduler(builtin_case(1), "scan", direction="sideways")
+    assert str(excinfo.value) == "direction must be up or down, got 'sideways'"
+    empty = dataclasses.replace(builtin_case(1), requests=())
+    with pytest.raises(ValueError, match="no requests"):
+        run_scheduler(empty, "scan", direction="sideways")
+
+
 def test_direction_rejected_for_non_sweeps():
     scenario = builtin_case(1)
     with pytest.raises(ValueError):
@@ -260,6 +269,18 @@ def test_faulty_baseline_run_prices_every_probe():
     assert run.abandoned == (5,)
     assert run.totals.request_count == 20  # ADAT is per request, not per visit
     assert "retried at queue tail" in run.note
+
+
+def test_no_retry_note_when_no_visit_fails():
+    # The fault table names an address that no request asks for.
+    sc = _scenario((20, 1, 3), [(10, 1, 0), (30, 1, 5)], tracks=50, platters=1)
+    unrequested = PhysicalAddress(40, 1, 1)
+    faulty = dataclasses.replace(sc, faults=(FaultSpec(unrequested, 1),))
+    for algorithm in ("fcfs", "look", "sstf"):
+        run = run_scheduler(faulty, algorithm)
+        assert run.abandoned == ()
+        assert run.note == "", algorithm
+        assert run.totals == run_scheduler(sc, algorithm).totals
 
 
 def test_faulty_sweeps_price_their_edge_travel():
