@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .geometry import render_index
+from .geometry import DiskGeometry, render_index
 from .metrics import energy_saved
 from .oracle import MAX_ORACLE_REQUESTS, OracleSizeError, optimal_order
 from .report import (
@@ -37,7 +37,6 @@ from .workload import (
     parse_scenario,
     render_scenario,
 )
-from .geometry import DiskGeometry
 
 _ORDER_TOKENS = {"asc": "ascending", "desc": "descending", "random": "random"}
 

@@ -19,7 +19,10 @@ forward when it crosses the track moving with that direction, backward
 when it crosses against it.  ``Scenario.sweeps`` lays the queue out once,
 every group read moving up and moving down, so a sweep plan is two slices
 split at the head track, and SSTF takes one group slice per step.  FCFS
-ignores all of this and services the queue as it arrived.
+ignores all of this and services the queue as it arrived.  A sweep plan
+names its two slices as legs, runs of the ``up`` list read forward or
+backward, and ``priced`` copies their steps out of the scenario's priced
+layout (``Scenario.sweep_layout``); FCFS and SSTF have their walks priced.
 
 No baseline handles bad sectors: each request to a bad address is tried
 ``RETRY_LIMIT`` times, on its planned visit and then in rounds at the
@@ -60,13 +63,14 @@ ALGORITHM_NAMES = BASELINE_NAMES + (PROPOSED_ALGORITHM,)
 DEFAULT_SWEEP_DIRECTION = "down"
 RETRY_LIMIT = 3  # attempts per request to a bad address before a baseline abandons it
 
-# A visit order over arrival ranks, and the head path's waypoints keyed by
-# visit position (see metrics.replay and metrics.SchedulerRun.priced).
-Plan = tuple[list[int], dict[int, tuple[int, ...]]]
+# A visit order over arrival ranks, the head path's waypoints keyed by visit
+# position, and a sweep's legs over the up list, or None (see
+# metrics.replay and metrics.SchedulerRun.priced).
+Plan = tuple[list[int], dict[int, tuple[int, ...]], tuple[tuple[int, int, bool], ...] | None]
 
 
 def _fcfs_plan(scenario: Scenario) -> Plan:
-    return list(range(len(scenario.requests))), {}
+    return list(range(len(scenario.requests))), {}, None
 
 
 def _sstf_plan(scenario: Scenario) -> Plan:
@@ -90,29 +94,34 @@ def _sstf_plan(scenario: Scenario) -> Plan:
             cur = tracks[g]
         start, end = starts[g], starts[g + 1]
         order += up[start:end] if moving_up else down[n - end : n - start]
-    return order, {}
+    return order, {}, None
 
 
 def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
-    # Two slices of the sweep lists, split where the head track falls: the
-    # groups on the first leg's side of the head, then the rest.
+    # Two legs, runs up[lo:hi] of the up list read forward or backward, split
+    # where the head track falls: the groups on the first leg's side of the
+    # head, then the rest.
     tracks, starts, up, down = scenario.sweeps
     n = len(up)
     head_track = scenario.initial_head.track
     turns = variant in ("scan", "look")  # cscan / clook continue in the original direction
     if direction == "down":
         k = starts[bisect_right(tracks, head_track)]  # requests at or below the head
-        first, second = down[n - k :], up[k:] if turns else down[: n - k]
+        legs = (0, k, False), (k, n, turns)
     else:
         k = starts[bisect_left(tracks, head_track)]  # requests below the head
-        first, second = up[k:], down[n - k :] if turns else up[:k]
+        legs = (k, n, True), (0, k, not turns)
+    order: list[int] = []
+    for lo, hi, forward in legs:
+        order += up[lo:hi] if forward else down[n - hi : n - lo]
 
     via: dict[int, tuple[int, ...]] = {}
-    if second and variant in ("scan", "cscan"):
+    first = legs[0][1] - legs[0][0]  # visits before the turn or the return
+    if first < n and variant in ("scan", "cscan"):
         top = scenario.geometry.num_tracks - 1
         edge, far_edge = (0, top) if direction == "down" else (top, 0)
-        via[len(first)] = (edge,) if variant == "scan" else (edge, far_edge)
-    return first + second, via
+        via[first] = (edge,) if variant == "scan" else (edge, far_edge)
+    return order, via, legs
 
 
 def _look_plan(pick: Callable[[int, int, int], str]) -> Callable[[Scenario], Plan]:
@@ -185,7 +194,7 @@ def run_scheduler(
     if algorithm == PROPOSED_ALGORITHM:
         return modsbsm.execute(scenario)
 
-    order, via = _plan(scenario, algorithm, direction, use_hints)
+    order, via, legs = _plan(scenario, algorithm, direction, use_hints)
     abandoned: tuple[int, ...] = ()
     if scenario.faults:
         # A plan visits each rank once, so the retry-at-tail queue is closed
@@ -196,6 +205,6 @@ def run_scheduler(
         failing = map(bad.__contains__, map(scenario.addresses.__getitem__, order))
         abandoned = tuple(compress(order, failing))
     return SchedulerRun.priced(
-        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], via,
+        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], via, legs,
         abandoned=abandoned, note="failed visits retried at queue tail" if abandoned else "",
     )

@@ -49,6 +49,7 @@ from .geometry import (
     render_index,
     validate,
 )
+from .metrics import Trace, columns, step_costs
 
 DIRECTION_HINT_NAMES = ("scan", "cscan", "look", "clook")
 DIRECTIONS = ("up", "down")
@@ -181,6 +182,20 @@ class Scenario:
         firsts = list(map(ne, up_tracks, [None, *up_tracks]))
         starts = [*compress(range(len(up)), firsts), len(up)]
         return list(compress(up_tracks, firsts)), starts, up, up[::-1]
+
+    @cached_property
+    def sweep_layout(self) -> Trace:
+        """The walk along ``sweeps``' ``up`` list, priced from the head once per scenario.
+
+        Step ``i`` visits ``up[i]``, priced from ``up[i - 1]`` (step 0 from the
+        head), so a run ``up[lo:hi]`` visits ``[lo:hi]`` of the layout and its
+        own steps are ``[lo + 1:hi]``.  ``down`` is the mirror walk: the same
+        seeks and transfers reversed, and each latency ``l`` becomes
+        ``(S - l) mod S``.
+        """
+        up = tuple(map(self.addresses.__getitem__, self.sweeps[2]))
+        costs = step_costs(self.geometry.sectors_per_track, columns(up, self.initial_head))
+        return Trace(up, *map(tuple, costs))
 
 
 GENERATOR_ORDERS = ("ascending", "descending", "random")

@@ -9,9 +9,12 @@ replaced by another requested address, a repeated step, a cut), and some
 are handed over as a ``Trace`` of list columns, before ``verify_trace``
 checks them.  The baselines' plans, sliced from the
 scenario's sweep lists, are checked against plans built one track group at
-a time.  Rendered scenarios, their lines mutated, parse as the per-line
+a time.  Every baseline record, each sweep both ways, equals the replay of
+its plan whatever order the scenario's cached sweep lists and priced layout
+were filled in.  Rendered scenarios, their lines mutated, parse as the per-line
 loop parses them, into one address object per distinct address.  A last
-test counts Python-level calls to show that no layer makes one per visit.
+test counts Python-level calls to show that no layer makes one per visit,
+cold caches included.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_loops as ref
 from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, GeometryBoundsError, PhysicalAddress
-from plattersim.metrics import ServiceStep, Trace, replay, totals
+from plattersim.metrics import SchedulerRun, ServiceStep, Trace, replay, totals
 from plattersim.oracle import verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
@@ -105,7 +108,7 @@ def scenarios(draw):
 
 
 def _plans(scenario):
-    """(algorithm, direction, order, via) of every baseline, each sweep both ways."""
+    """(algorithm, direction, order, via, legs) of every baseline, each sweep both ways."""
     for algorithm in ALGORITHM_NAMES:
         if algorithm == "modsbsm":
             continue
@@ -129,7 +132,7 @@ def _outcome(fn, *args):
 @given(scenarios())
 def test_plans_price_retry_and_total_as_the_per_visit_loops(scenario):
     n = len(scenario.requests)
-    for algorithm, direction, order, via in _plans(scenario):
+    for algorithm, direction, order, via, _ in _plans(scenario):
         run = run_scheduler(scenario, algorithm, direction=direction)
         ref_faults = FaultModel(scenario.faults)
         ref_visits, _, ref_abandoned = ref.retry_at_tail(order, scenario, ref_faults)
@@ -147,6 +150,59 @@ def test_plans_price_retry_and_total_as_the_per_visit_loops(scenario):
         assert run.steps == tuple(steps), algorithm
     run = run_scheduler(scenario, "modsbsm")
     assert list(run.steps) == ref.replay(scenario.geometry, scenario.initial_head, run.visits)
+
+
+def _scenario(geometry, head, addresses, bad=()):
+    """A scenario from (track, platter, sector) triples, its bad addresses read as bit 0."""
+    return Scenario(
+        geometry=DiskGeometry(*geometry),
+        initial_head=PhysicalAddress(*head),
+        requests=tuple(
+            MemoryRequest(PhysicalAddress(*a), arrival_rank=i) for i, a in enumerate(addresses)
+        ),
+        faults=tuple(FaultSpec(PhysicalAddress(*a), 0) for a in bad),
+    )
+
+
+DISK = (2, 10, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+# A strictly descending queue, one of its addresses bad.
+@example(_scenario(DISK, (5, 1, 0), [(8, 1, 3), (6, 2, 1), (3, 1, 2), (1, 2, 0)], [(3, 1, 2)]))
+# One track group, the head on its track.
+@example(_scenario(DISK, (4, 2, 2), [(4, 1, 3), (4, 2, 0), (4, 1, 3), (4, 2, 1)], [(4, 2, 0)]))
+# The head on track 0, then on the top track: a sweep toward it has an empty first leg.
+@example(_scenario(DISK, (0, 1, 1), [(3, 1, 2), (7, 2, 0), (5, 1, 3)], [(7, 2, 0)]))
+@example(_scenario(DISK, (9, 2, 3), [(3, 1, 2), (7, 2, 0), (5, 1, 3)], [(3, 1, 2)]))
+# One sector per track: every latency is 0, either way.
+@example(_scenario((3, 10, 1), (5, 2, 0), [(2, 1, 0), (8, 3, 0), (5, 1, 0), (2, 2, 0)]))
+# A bad address alone on the leg after the turn, so SCAN's and C-SCAN's
+# retry tail starts where their edge waypoints lead, whichever way they go.
+@example(_scenario(DISK, (5, 1, 1), [(3, 1, 2), (8, 2, 3)], [(8, 2, 3)]))
+@example(_scenario(DISK, (5, 1, 1), [(8, 2, 3), (3, 1, 2)], [(3, 1, 2)]))
+def test_sweep_records_equal_replay_whatever_the_cache_state(scenario):
+    n = len(scenario.requests)
+    plans = {(a, d): (order, via) for a, d, order, via, _ in _plans(dataclasses.replace(scenario))}
+    # Two copies fill their sweep lists and layout in opposite algorithm
+    # orders; every run also gets a copy of its own, whose caches are cold.
+    forward, backward = dataclasses.replace(scenario), dataclasses.replace(scenario)
+    runs = {key: run_scheduler(forward, key[0], direction=key[1]) for key in plans}
+    rerun = {key: run_scheduler(backward, key[0], direction=key[1]) for key in reversed(plans)}
+    up = [scenario.addresses[rank] for rank in forward.sweeps[2]]
+    assert forward.sweep_layout == replay(scenario.geometry, scenario.initial_head, up)
+    for (algorithm, direction), (order, via) in plans.items():
+        ref_visits, _, abandoned = ref.retry_at_tail(order, scenario, FaultModel(scenario.faults))
+        visits = [scenario.addresses[rank] for rank in ref_visits]
+        steps = replay(scenario.geometry, scenario.initial_head, visits, via)
+        expected = SchedulerRun(
+            algorithm, tuple(order), steps, totals(steps, n), abandoned=tuple(abandoned),
+            note="failed visits retried at queue tail" if abandoned else "",
+        )
+        alone = run_scheduler(dataclasses.replace(scenario), algorithm, direction=direction)
+        key = algorithm, direction
+        assert runs[key] == rerun[key] == alone == expected, key
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,9 +295,9 @@ def test_sliced_plans_match_the_per_group_loops(scenario):
     for variant in SWEEP_NAMES:
         for direction in ("up", "down"):
             plan = _plan(scenario, variant, direction, False)
-            assert plan == ref._sweep_plan(scenario, variant, direction), (variant, direction)
+            assert plan[:2] == ref._sweep_plan(scenario, variant, direction), (variant, direction)
     for algorithm, reference in ref.PLANS.items():
-        assert _plan(scenario, algorithm, None, False) == reference(scenario), algorithm
+        assert _plan(scenario, algorithm, None, False)[:2] == reference(scenario), algorithm
 
 
 GEOMETRY = DiskGeometry(2, 10, 4)
@@ -387,8 +443,8 @@ def test_parse_scenario_matches_the_per_line_loop_and_shares_addresses(text):
         assert shared.get(address, address) is address
 
 
-def _calls(fn):
-    """Python-level function calls (profile ``call`` events) made while ``fn`` runs.
+def _calls(fn, *args):
+    """Python-level function calls (profile ``call`` events) made while ``fn(*args)`` runs.
 
     The collector is off meanwhile: its callbacks (Hypothesis installs one)
     run once per collection, and collections grow with the allocations.
@@ -403,7 +459,7 @@ def _calls(fn):
     gc.disable()
     sys.setprofile(profile)
     try:
-        fn()
+        fn(*args)
     finally:
         sys.setprofile(None)
         if collecting:
@@ -428,7 +484,7 @@ def _clean_pass(n):
         scenario, initial_head=PhysicalAddress(0, 1, 0), faults=(FaultSpec(unused, 1),)
     )
 
-    def run():
+    def run(faulty):
         steps = replay(geometry, scenario.initial_head, scenario.addresses, via)
         run_totals = totals(steps, n)
         assert verify_trace(scenario, steps, run_totals) == []
@@ -436,11 +492,16 @@ def _clean_pass(n):
             scheduled = run_scheduler(faulty, algorithm)
             assert verify_trace(faulty, scheduled.steps, scheduled.totals) == [], algorithm
 
-    return run
+    return run, faulty
 
 
 def test_no_python_call_per_visit():
-    small, large = _clean_pass(10**3), _clean_pass(10**4)
-    small(), large()  # warm the ABC caches that Counter's first isinstance fills
-    assert _calls(small) == _calls(large)
+    counts = []
+    for n in (10**3, 10**4):
+        run, faulty = _clean_pass(n)
+        run(faulty)  # warm the ABC caches that Counter's first isinstance fills
+        # A fresh copy: its sweep lists and priced layout are built in the counted pass.
+        counts.append(_calls(run, dataclasses.replace(faulty)))
+    small, large = counts
+    assert small == large
 
