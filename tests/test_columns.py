@@ -182,7 +182,7 @@ DISK = (2, 10, 4)
 # retry tail starts where their edge waypoints lead, whichever way they go.
 @example(_scenario(DISK, (5, 1, 1), [(3, 1, 2), (8, 2, 3)], [(8, 2, 3)]))
 @example(_scenario(DISK, (5, 1, 1), [(8, 2, 3), (3, 1, 2)], [(3, 1, 2)]))
-def test_sweep_records_equal_replay_whatever_the_cache_state(scenario):
+def test_baseline_records_equal_replay_whatever_the_cache_state(scenario):
     n = len(scenario.requests)
     plans = {(a, d): (order, via) for a, d, order, via, _ in _plans(dataclasses.replace(scenario))}
     # Two copies fill their sweep lists and layout in opposite algorithm
