@@ -21,12 +21,12 @@ scheduler, MODSBSM included, and the oracle's order), checks nothing again.
 ``replay`` prices a foreign visit sequence from a start position and checks
 its addresses first, and ``plattersim.oracle.verify_trace`` checks those of
 any steps it is given.
-A sweep's walk is mostly steps of one walk per scenario,
-``Scenario.sweep_layout``: the ``up`` list of ``Scenario.sweeps`` priced
-once, lazily, by ``step_costs``.  ``SchedulerRun.priced`` copies a sweep's
-legs out of it, reversing a leg read downward (the same seeks and transfers,
-each latency ``l`` turned into ``(S - l) mod S``), and prices only the step
-into each leg and the retry tail.
+``SchedulerRun.priced`` copies the steps of a walk's ``legs``, runs of the
+``up`` list of ``Scenario.sweeps``, out of ``Scenario.sweep_layout``, that
+list priced once per scenario, reversing a leg read downward (the same seeks
+and transfers, each latency ``l`` turned into ``(S - l) mod S``); it prices
+only the step into each leg and the visits after the last, the whole walk
+when there are no legs.
 ``via`` waypoints are edge tracks the arm passes between two visits (SCAN
 turning at the disk edge, C-SCAN's full-stroke return); seek includes them.
 Aggregates follow the usual naming — TSKT (total seek), TRL (total
@@ -115,7 +115,8 @@ class Trace(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, Trace):
-            return _COLUMNS(self) == _COLUMNS(other)
+            # tuple() returns a tuple column as it is, so two tuple Traces compare their columns.
+            return tuple(map(tuple, _COLUMNS(self))) == tuple(map(tuple, _COLUMNS(other)))
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
@@ -238,30 +239,60 @@ class SchedulerRun:
         order: Iterable[int],
         walk: Sequence[int],
         via: Mapping[int, Sequence[int]] | None = None,
-        legs: Sequence[tuple[int, int, bool]] | None = None,
+        legs: Sequence[tuple[int, int, bool]] = (),
         **fields,
     ) -> SchedulerRun:
         """The record of a walk over the scenario's arrival ranks, priced from its head.
 
         Pricing is ``replay``'s, with nothing checked again: ``Scenario``
-        checked the head and every request address.  A sweep plan names its
+        checked the head and every request address.  A plan may name
         ``legs``, the ``(lo, hi, forward)`` runs ``up[lo:hi]`` of
         ``Scenario.sweeps`` that its walk reads first, each forward or
         backward: their visits and own steps are slices of
         ``Scenario.sweep_layout``, so only the step into each leg, through
-        ``via``, and the visits after the last leg (the retry tail) are
-        priced here.  The totals divide by the queue length, so ADAT stays
-        TDAT per request when failed probes add visits or table answers save
-        them.
+        ``via`` at the leg's first visit, and the visits after the last leg
+        are priced here; a walk without legs is priced whole, without the
+        layout.  The totals divide by the queue length, so ADAT stays TDAT
+        per request when failed probes add visits or table answers save them.
         """
-        if legs is None:
-            visits = tuple(map(scenario.addresses.__getitem__, walk))
-            positions = columns(visits, scenario.initial_head)
-            costs = step_costs(scenario.geometry.sectors_per_track, positions, via)
-            steps = Trace(visits, *map(tuple, costs))
-        else:
-            steps = _leg_steps(scenario, walk, legs, via)
-        return cls(algorithm, tuple(order), steps, totals(steps, len(scenario.requests)), **fields)
+        # One step_costs call prices what is not copied: its path is the head,
+        # each non-empty leg's first and last visit, then the tail.  Step 2m
+        # enters the m-th leg; step 2m + 1 spans it and gives way to the leg's
+        # own steps.
+        sectors = scenario.geometry.sectors_per_track
+        visits: list[PhysicalAddress] = []
+        ends: list[PhysicalAddress] = []
+        runs = []
+        waypoints: dict[int, Sequence[int]] = {}
+        for lo, hi, forward in legs:
+            if lo == hi:
+                continue
+            up, seeks, latencies, transfers = _COLUMNS(scenario.sweep_layout)
+            if via and len(visits) in via:
+                waypoints[len(ends)] = via[len(visits)]
+            if forward:
+                own = slice(lo + 1, hi)  # the leg's own steps
+                leg = up[lo:hi], seeks[own], latencies[own], transfers[own]
+            else:  # the mirror walk, its own steps last first: l becomes (S - l) mod S
+                own = slice(hi - 1, lo, -1)
+                mirrored = map(mod, map(sub, repeat(sectors), latencies[own]), repeat(sectors))
+                leg = up[lo:hi][::-1], seeks[own], mirrored, transfers[own]
+            visits += leg[0]
+            ends += leg[0][0], leg[0][-1]
+            runs.append(leg[1:])
+        tail = tuple(map(scenario.addresses.__getitem__, walk[len(visits) :]))
+        kernel = step_costs(sectors, columns([*ends, *tail], scenario.initial_head), waypoints)
+        steps = []
+        for c, costs in enumerate(map(iter, kernel)):
+            column = []
+            for run in runs:
+                column.append(next(costs))  # into the leg
+                next(costs)  # across it, where the leg's own steps go
+                column += run[c]
+            column += costs  # the tail: the retries, or a walk without legs
+            steps.append(tuple(column))
+        trace = Trace(tuple(visits) + tail, *steps)  # () + tail is tail: no copy without legs
+        return cls(algorithm, tuple(order), trace, totals(trace, len(scenario.requests)), **fields)
 
     @property
     def visits(self) -> tuple[PhysicalAddress, ...]:
@@ -277,55 +308,6 @@ class SchedulerRun:
     def resolved(self) -> tuple[PhysicalAddress, ...]:
         """Bad addresses with a prescribed bit: every entry of a finished run's table."""
         return tuple(e.index for e in self.bad_sector_table)
-
-
-def _leg_steps(
-    scenario: Scenario,
-    walk: Sequence[int],
-    legs: Sequence[tuple[int, int, bool]],
-    via: Mapping[int, Sequence[int]] | None,
-) -> Trace:
-    """The steps of a walk that reads ``legs`` first (see ``SchedulerRun.priced``).
-
-    One ``step_costs`` call prices the rest: its path is the head, each
-    leg's first and last visit, then the tail.  Step ``2m`` enters the
-    ``m``-th non-empty leg; step ``2m + 1`` spans it and gives way to the
-    leg's own steps.
-    """
-    sectors = scenario.geometry.sectors_per_track
-    up, seeks, latencies, transfers = _COLUMNS(scenario.sweep_layout)
-    visits: list[PhysicalAddress] = []
-    ends: list[PhysicalAddress] = []
-    runs = []
-    waypoints: dict[int, Sequence[int]] = {}
-    for lo, hi, forward in legs:
-        if lo == hi:
-            continue
-        if via and len(visits) in via:
-            waypoints[len(ends)] = via[len(visits)]
-        if forward:
-            own = slice(lo + 1, hi)  # the leg's own steps
-            leg = up[lo:hi], seeks[own], latencies[own], transfers[own]
-        else:  # the mirror walk, its own steps last first: l becomes (S - l) mod S
-            own = slice(hi - 1, lo, -1)
-            mirrored = map(mod, map(sub, repeat(sectors), latencies[own]), repeat(sectors))
-            leg = up[lo:hi][::-1], seeks[own], mirrored, transfers[own]
-        visits += leg[0]
-        ends += leg[0][0], leg[0][-1]
-        runs.append(leg[1:])
-    tail = tuple(map(scenario.addresses.__getitem__, walk[len(visits) :]))
-    visits += tail
-    kernel = step_costs(sectors, columns([*ends, *tail], scenario.initial_head), waypoints)
-    steps = []
-    for c, priced in enumerate(map(iter, kernel)):
-        column = []
-        for run in runs:
-            column.append(next(priced))  # into the leg
-            next(priced)  # across it, where the leg's own steps go
-            column += run[c]
-        column += priced  # the retry tail
-        steps.append(tuple(column))
-    return Trace(tuple(visits), *steps)
 
 
 def totals(steps: Sequence[ServiceStep], request_count: int | None = None) -> AccessTotals:

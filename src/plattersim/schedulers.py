@@ -16,13 +16,13 @@ Same-track requests follow the queue convention described in
 :mod:`plattersim.workload`: the pending queue is a track-sorted list kept
 in the arrival sequence's direction, and the arm reads a track's group
 forward when it crosses the track moving with that direction, backward
-when it crosses against it.  ``Scenario.sweeps`` lays the queue out once,
-every group read moving up and moving down, so a sweep plan is two slices
-split at the head track, and SSTF takes one group slice per step.  FCFS
-ignores all of this and services the queue as it arrived.  A sweep plan
-names its two slices as legs, runs of the ``up`` list read forward or
-backward, and ``priced`` copies their steps out of the scenario's priced
-layout (``Scenario.sweep_layout``); FCFS and SSTF have their walks priced.
+when it crosses against it.  ``Scenario.sweeps`` lays the queue out once as
+the ``up`` list, every group read moving up, so a plan names legs, runs of
+``up`` read forward (moving up) or backward: a sweep reads two, split at
+the head track, and SSTF one per run of groups it reads the same way.
+``SchedulerRun.priced`` copies their steps out of the scenario's priced
+layout (``Scenario.sweep_layout``).  FCFS ignores all of this: it services
+the queue as it arrived, and its walk is priced whole.
 
 No baseline handles bad sectors: each request to a bad address is tried
 ``RETRY_LIMIT`` times, on its planned visit and then in rounds at the
@@ -64,25 +64,33 @@ DEFAULT_SWEEP_DIRECTION = "down"
 RETRY_LIMIT = 3  # attempts per request to a bad address before a baseline abandons it
 
 # A visit order over arrival ranks, the head path's waypoints keyed by visit
-# position, and a sweep's legs over the up list, or None (see
+# position, and the legs over the up list that the order reads first (see
 # metrics.replay and metrics.SchedulerRun.priced).
-Plan = tuple[list[int], dict[int, tuple[int, ...]], tuple[tuple[int, int, bool], ...] | None]
+Plan = tuple[list[int], dict[int, tuple[int, ...]], tuple[tuple[int, int, bool], ...]]
 
 
 def _fcfs_plan(scenario: Scenario) -> Plan:
-    return list(range(len(scenario.requests))), {}, None
+    return list(range(len(scenario.requests))), {}, ()
+
+
+def _legs_plan(scenario: Scenario, legs: tuple[tuple[int, int, bool], ...], via: dict) -> Plan:
+    """The plan that reads ``legs``, runs ``up[lo:hi]`` read forward or backward, in turn."""
+    up = scenario.sweeps[2]
+    order: list[int] = []
+    for lo, hi, forward in legs:
+        order += up[lo:hi] if forward else up[lo:hi][::-1]
+    return order, via, legs
 
 
 def _sstf_plan(scenario: Scenario) -> Plan:
     # The served tracks always form a contiguous run of the track groups with
     # the head at one end, so the nearest pending track is tracks[left] (just
     # below the run) or tracks[right] (just above); a tie goes to the lower.
-    tracks, starts, up, down = scenario.sweeps
-    n = len(up)
+    tracks, starts, _ = scenario.sweeps
     cur = scenario.initial_head.track
     right = bisect_left(tracks, cur)
     left = right - 1
-    order: list[int] = []
+    legs: list[list] = []  # [lo, hi, forward], made tuples at the end
     moving_up = scenario.queue_ascending  # zero movement counts as moving with the queue
     while left >= 0 or right < len(tracks):
         if right == len(tracks) or (left >= 0 and cur - tracks[left] <= tracks[right] - cur):
@@ -92,16 +100,21 @@ def _sstf_plan(scenario: Scenario) -> Plan:
         if tracks[g] != cur:
             moving_up = tracks[g] > cur
             cur = tracks[g]
-        start, end = starts[g], starts[g + 1]
-        order += up[start:end] if moving_up else down[n - end : n - start]
-    return order, {}, None
+        # The served groups stay contiguous, so groups read the same way in a
+        # row are adjacent runs of up: one leg.
+        if not legs or legs[-1][2] != moving_up:
+            legs.append([starts[g], starts[g + 1], moving_up])
+        elif moving_up:
+            legs[-1][1] = starts[g + 1]
+        else:
+            legs[-1][0] = starts[g]
+    return _legs_plan(scenario, tuple(map(tuple, legs)), {})
 
 
 def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
-    # Two legs, runs up[lo:hi] of the up list read forward or backward, split
-    # where the head track falls: the groups on the first leg's side of the
-    # head, then the rest.
-    tracks, starts, up, down = scenario.sweeps
+    # Two legs split where the head track falls: the groups on the first
+    # leg's side of the head, then the rest.
+    tracks, starts, up = scenario.sweeps
     n = len(up)
     head_track = scenario.initial_head.track
     turns = variant in ("scan", "look")  # cscan / clook continue in the original direction
@@ -111,9 +124,6 @@ def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
     else:
         k = starts[bisect_left(tracks, head_track)]  # requests below the head
         legs = (k, n, True), (0, k, not turns)
-    order: list[int] = []
-    for lo, hi, forward in legs:
-        order += up[lo:hi] if forward else down[n - hi : n - lo]
 
     via: dict[int, tuple[int, ...]] = {}
     first = legs[0][1] - legs[0][0]  # visits before the turn or the return
@@ -121,7 +131,7 @@ def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
         top = scenario.geometry.num_tracks - 1
         edge, far_edge = (0, top) if direction == "down" else (top, 0)
         via[first] = (edge,) if variant == "scan" else (edge, far_edge)
-    return order, via, legs
+    return _legs_plan(scenario, legs, via)
 
 
 def _look_plan(pick: Callable[[int, int, int], str]) -> Callable[[Scenario], Plan]:
@@ -201,9 +211,7 @@ def run_scheduler(
         # form: the ranks on bad addresses, in plan order, fail their planned
         # visit, are retried in RETRY_LIMIT - 1 rounds at the tail in that
         # order, and are abandoned on the last.
-        bad = {spec.address for spec in scenario.faults}
-        failing = map(bad.__contains__, map(scenario.addresses.__getitem__, order))
-        abandoned = tuple(compress(order, failing))
+        abandoned = tuple(compress(order, map(scenario.on_bad_address.__getitem__, order)))
     return SchedulerRun.priced(
         scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], via, legs,
         abandoned=abandoned, note="failed visits retried at queue tail" if abandoned else "",

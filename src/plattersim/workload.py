@@ -166,31 +166,37 @@ class Scenario:
         return not (all(map(ge, t, t[1:])) and any(map(gt, t, t[1:])))
 
     @cached_property
-    def sweeps(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """``(tracks, starts, up, down)``: the queue laid out once for every plan.
+    def on_bad_address(self) -> list[bool]:
+        """Whether each arrival rank's address is in the fault table."""
+        bad = {spec.address for spec in self.faults}
+        return list(map(bad.__contains__, self.addresses))
+
+    @cached_property
+    def sweeps(self) -> tuple[list[int], list[int], list[int]]:
+        """``(tracks, starts, up)``: the queue laid out once for every plan.
 
         ``up`` lists the arrival ranks by ascending track, each group read as the
-        arm moving up reads it; ``down`` is its mirror.  Distinct ``tracks`` ascend;
-        group ``g`` is ``up[starts[g]:starts[g + 1]]``, and ``starts[-1]`` is ``n``.
+        arm moving up reads it.  Distinct ``tracks`` ascend; group ``g`` is
+        ``up[starts[g]:starts[g + 1]]``, and ``starts[-1]`` is ``n``.
         """
         # The requests' own rank objects: range would allocate one int per rank.
         ranks = list(map(attrgetter("arrival_rank"), self.requests))
-        # A stable sort reads each group in arrival order; a descending queue
-        # already is its down list, every group read forward moving down.
+        # A stable sort reads each group in arrival order; a descending queue,
+        # which the arm moving down reads in arrival order, reversed is the up list.
         up = sorted(ranks, key=self.tracks.__getitem__) if self.queue_ascending else ranks[::-1]
         up_tracks = list(map(self.tracks.__getitem__, up))
         firsts = list(map(ne, up_tracks, [None, *up_tracks]))
         starts = [*compress(range(len(up)), firsts), len(up)]
-        return list(compress(up_tracks, firsts)), starts, up, up[::-1]
+        return list(compress(up_tracks, firsts)), starts, up
 
     @cached_property
     def sweep_layout(self) -> Trace:
         """The walk along ``sweeps``' ``up`` list, priced from the head once per scenario.
 
         Step ``i`` visits ``up[i]``, priced from ``up[i - 1]`` (step 0 from the
-        head), so a run ``up[lo:hi]`` visits ``[lo:hi]`` of the layout and its
-        own steps are ``[lo + 1:hi]``.  ``down`` is the mirror walk: the same
-        seeks and transfers reversed, and each latency ``l`` becomes
+        head), so a leg ``up[lo:hi]`` visits ``[lo:hi]`` of the layout and its
+        own steps are ``[lo + 1:hi]``; a leg read backward is the mirror walk:
+        the same seeks and transfers reversed, each latency ``l`` turned into
         ``(S - l) mod S``.
         """
         up = tuple(map(self.addresses.__getitem__, self.sweeps[2]))

@@ -9,7 +9,9 @@ replaced by another requested address, a repeated step, a cut), and some
 are handed over as a ``Trace`` of list columns, before ``verify_trace``
 checks them.  The baselines' plans, sliced from the
 scenario's sweep lists, are checked against plans built one track group at
-a time.  Every baseline record, each sweep both ways, equals the replay of
+a time; SSTF's legs, the head in mrsa's median window, read that order in runs
+no two of which could merge, and a walk without legs never builds the priced
+layout.  Every baseline record, each sweep both ways, equals the replay of
 its plan whatever order the scenario's cached sweep lists and priced layout
 were filled in.  Rendered scenarios, their lines mutated, parse as the per-line
 loop parses them, into one address object per distinct address.  A last
@@ -30,7 +32,7 @@ import reference_loops as ref
 from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, GeometryBoundsError, PhysicalAddress
 from plattersim.metrics import SchedulerRun, ServiceStep, Trace, replay, totals
-from plattersim.oracle import verify_trace
+from plattersim.oracle import optimal_order, verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
     RETRY_LIMIT,
@@ -298,6 +300,34 @@ def test_sliced_plans_match_the_per_group_loops(scenario):
             assert plan[:2] == ref._sweep_plan(scenario, variant, direction), (variant, direction)
     for algorithm, reference in ref.PLANS.items():
         assert _plan(scenario, algorithm, None, False)[:2] == reference(scenario), algorithm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_queues(), st.data())
+def test_sstf_legs_read_the_per_group_order_in_runs_that_cannot_merge(scenario, data):
+    # The head inside the median window, so mrsa takes its SSTF branch.
+    tracks = sorted(scenario.tracks)
+    track = data.draw(st.integers(tracks[(len(tracks) - 1) // 2], tracks[len(tracks) // 2]))
+    scenario = dataclasses.replace(scenario, initial_head=scenario.initial_head._replace(track=track))
+    up = scenario.sweeps[2]
+    for algorithm in ("sstf", "mrsa"):
+        order, via, legs = _plan(scenario, algorithm, None, False)
+        read = [rank for lo, hi, forward in legs for rank in (up[lo:hi] if forward else up[lo:hi][::-1])]
+        assert read == order == ref._sstf_plan(scenario)[0] and via == {}, algorithm
+        assert sorted(i for lo, hi, _ in legs for i in range(lo, hi)) == list(range(len(up)))
+        assert all(lo < hi for lo, hi, _ in legs)
+        for (lo, hi, forward), (next_lo, next_hi, next_forward) in zip(legs, legs[1:]):
+            assert forward != next_forward or (next_lo != hi if forward else next_hi != lo), legs
+
+
+def test_walks_without_legs_leave_the_sweep_layout_unbuilt():
+    scenario = generate(DiskGeometry(4, 200, 8), GeneratorParams(7, seed=3, bad_count=2))
+    for price in (lambda s: run_scheduler(s, "fcfs"), lambda s: run_scheduler(s, "modsbsm"), optimal_order):
+        fresh = dataclasses.replace(scenario)
+        price(fresh)
+        assert "sweep_layout" not in vars(fresh), price
+    run_scheduler(fresh, "sstf")
+    assert "sweep_layout" in vars(fresh)
 
 
 GEOMETRY = DiskGeometry(2, 10, 4)

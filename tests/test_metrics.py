@@ -185,6 +185,15 @@ def test_trace_is_a_sequence_of_steps_built_on_access():
     assert first.visits == tuple(visits)
 
 
+def test_traces_of_the_same_steps_are_equal_whatever_their_column_types():
+    trace = replay(DiskGeometry(4, 100, 8), PhysicalAddress(50, 1, 0), [PhysicalAddress(52, 1, 1), PhysicalAddress(40, 2, 3)])
+    lists = Trace(*map(list, (trace.visits, trace.seeks, trace.latencies, trace.transfers)))
+    assert trace == lists and lists == trace and not trace != lists
+    assert hash(trace) == hash(lists) and trace == tuple(lists)
+    changed = Trace(list(trace.visits), list(trace.seeks), [1, 3], list(trace.transfers))
+    assert trace != changed and changed != trace and trace != lists[:1]
+
+
 def test_totals_csv_shape():
     t = AccessTotals(204, 78, 20, 20)
     text = totals_csv([("look", t)])

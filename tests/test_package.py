@@ -1,6 +1,7 @@
-"""The package's public names, and no unused imports in its modules."""
+"""The package's public names, no unused imports in its modules, and no stale names in its docs."""
 
 import ast
+import re
 from pathlib import Path
 
 import plattersim
@@ -43,3 +44,46 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+# A backticked dotted name: ``metrics.replay``, :meth:`Scenario.sweeps`, or a
+# README code span such as `SchedulerRun.priced`.
+REFERENCE = re.compile(r"`~?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _stale_references(text: str, scope: dict) -> list[str]:
+    """Dotted names in ``text`` that do not resolve, attribute by attribute, from ``scope``."""
+    stale = []
+    for name in REFERENCE.findall(text):
+        head, *attributes = name.removeprefix("plattersim.").split(".")
+        found, obj = head in scope, scope.get(head)
+        for attribute in attributes:
+            found = found and (hasattr(obj, attribute) or attribute in getattr(obj, "__dataclass_fields__", ()))
+            obj = getattr(obj, attribute, None)
+        if not found:
+            stale.append(name)
+    return stale
+
+
+def test_stale_reference_scan_flags_a_renamed_name():
+    text = "See ``metrics.replay``, :meth:`Scenario.sweeps`, ``SchedulerRun.steps`` and ``metrics._leg_steps``."
+    assert _stale_references(text, vars(plattersim)) == ["metrics._leg_steps"]
+    assert _stale_references("`Scenario.down` and ``Plan.legs``", vars(plattersim)) == ["Scenario.down", "Plan.legs"]
+
+
+def test_docstrings_and_readme_name_only_what_exists():
+    package = Path(plattersim.__file__).parent
+    stale = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+                stale[f"{path.name}:{getattr(node, 'name', '')}"] = _stale_references(ast.get_docstring(node), vars(plattersim))
+    # README code spans may name the objects its Python examples bind, such as `run.steps`.
+    readme = README.read_text()
+    scope = dict(vars(plattersim))
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S):
+        exec(compile(block, str(README), "exec"), scope)
+    stale["README.md"] = _stale_references(readme, scope)
+    assert {where: names for where, names in stale.items() if names} == {}

@@ -207,6 +207,15 @@ def test_duplicate_bad_entry_rejected():
         parse_scenario(text)
 
 
+def test_on_bad_address_flags_each_rank_whose_address_is_in_the_fault_table():
+    text = (
+        "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\n"
+        "request 5t1p1s\nrequest 2t1p0s\nrequest 5t1p1s\nrequest 7t1p3s\n"
+        "bad 5t1p1s bit=0\nbad 9t1p0s bit=1\n"
+    )
+    assert parse_scenario(text).on_bad_address == [True, False, True, False]
+
+
 def test_duplicate_bad_entry_is_named_in_canonical_form():
     text = (
         "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\n"
