@@ -27,8 +27,9 @@ list priced once per scenario, reversing a leg read downward (the same seeks
 and transfers, each latency ``l`` turned into ``(S - l) mod S``); it prices
 only the step into each leg and the visits after the last, the whole walk
 when there are no legs.
-``via`` waypoints are edge tracks the arm passes between two visits (SCAN
-turning at the disk edge, C-SCAN's full-stroke return); seek includes them.
+Seek includes the edge tracks the arm passes between two visits (SCAN
+turning at the disk edge, C-SCAN's full-stroke return): a plan's legs name
+them, and ``replay`` and ``step_costs`` take them as ``via``.
 Aggregates follow the usual naming — TSKT (total seek), TRL (total
 rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 (TDAT per request).
@@ -238,21 +239,20 @@ class SchedulerRun:
         algorithm: str,
         order: Iterable[int],
         walk: Sequence[int],
-        via: Mapping[int, Sequence[int]] | None = None,
-        legs: Sequence[tuple[int, int, bool]] = (),
+        legs: Sequence[tuple[int, int, bool, Sequence[int]]] = (),
         **fields,
     ) -> SchedulerRun:
         """The record of a walk over the scenario's arrival ranks, priced from its head.
 
         Pricing is ``replay``'s, with nothing checked again: ``Scenario``
         checked the head and every request address.  A plan may name
-        ``legs``, the ``(lo, hi, forward)`` runs ``up[lo:hi]`` of
+        ``legs``, the ``(lo, hi, forward, edges)`` runs ``up[lo:hi]`` of
         ``Scenario.sweeps`` that its walk reads first, each forward or
-        backward: their visits and own steps are slices of
-        ``Scenario.sweep_layout``, so only the step into each leg, through
-        ``via`` at the leg's first visit, and the visits after the last leg
-        are priced here; a walk without legs is priced whole, without the
-        layout.  The totals divide by the queue length, so ADAT stays TDAT
+        backward, with the edge tracks the arm passes on its way into it:
+        their visits and own steps are slices of ``Scenario.sweep_layout``,
+        so only the step into each non-empty leg, through its edges, and the
+        visits after the last leg are priced here; a walk without legs is
+        priced whole, without the layout.  The totals divide by the queue length, so ADAT stays TDAT
         per request when failed probes add visits or table answers save them.
         """
         # One step_costs call prices what is not copied: its path is the head,
@@ -264,12 +264,12 @@ class SchedulerRun:
         ends: list[PhysicalAddress] = []
         runs = []
         waypoints: dict[int, Sequence[int]] = {}
-        for lo, hi, forward in legs:
+        for lo, hi, forward, edges in legs:
             if lo == hi:
                 continue
             up, seeks, latencies, transfers = _COLUMNS(scenario.sweep_layout)
-            if via and len(visits) in via:
-                waypoints[len(ends)] = via[len(visits)]
+            if edges:
+                waypoints[len(ends)] = edges
             if forward:
                 own = slice(lo + 1, hi)  # the leg's own steps
                 leg = up[lo:hi], seeks[own], latencies[own], transfers[own]

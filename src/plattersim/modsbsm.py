@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, filterfalse, repeat
-from operator import add, contains, mul, sub
+from operator import add, mul, sub
 from typing import ClassVar, Iterable
 
 from .faults import FaultModel
@@ -91,11 +91,15 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     actually served; a request answered from a finalized table entry is
     served without a physical step.  The run record carries the per-pass
     ``decisions`` and the bad-sector table as well, which lists addresses in
-    the order their second failure tabled them.
+    the order their second failure tabled them.  ``fault_model`` (by default
+    ``FaultModel(scenario.faults)``) counts the probes; one whose bad addresses
+    are not the scenario's fault addresses raises ``ValueError``.
     """
     if not scenario.requests:
         raise ValueError("scenario has no requests")
     faults = fault_model if fault_model is not None else FaultModel(scenario.faults)
+    if faults.bad_addresses != {spec.address for spec in scenario.faults}:
+        raise ValueError("fault_model's bad addresses differ from the scenario's fault table")
     addresses = scenario.addresses
     tracks, platters, sectors = columns(addresses)
     # One int per rank orders as (±track, sector, platter) does: sector·P +
@@ -107,7 +111,6 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
         "up": list(map(add, within_track, track_part)),
         "down": list(map(sub, within_track, track_part)),
     }
-    bad_rank = list(map(contains, repeat(faults.bad_addresses), addresses))
     probes: dict[PhysicalAddress, int] = {}
     tabled: list[PhysicalAddress] = []
     pending = list(range(len(addresses)))
@@ -124,7 +127,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
         # Only bad ranks need a decision: answered from the table, or carried.
         answered: set[int] = set()
         carry: list[int] = []
-        for rank in compress(ordered, map(bad_rank.__getitem__, ordered)):
+        for rank in compress(ordered, map(scenario.on_bad_address.__getitem__, ordered)):
             addr = addresses[rank]
             count = probes.get(addr, 0) + 1
             if count > PROBE_LIMIT:  # finalized: served without touching the platter

@@ -1,16 +1,11 @@
 """Service-order policies for the classic and peer disk schedulers.
 
-Every policy is a plan: an order over arrival ranks plus the head path,
-``via``, which maps a visit position to the edge tracks the arm passes
-on its way there.  :meth:`plattersim.metrics.SchedulerRun.priced` prices
-the planned ranks through those waypoints into the run record; it checks
-no bounds, because ``Scenario`` checked the head and every request address
-once (a foreign visit sequence goes through ``metrics.replay``, which
-checks them, and any steps through ``oracle.verify_trace``).  SCAN turns
-at the physical edge of the disk and C-SCAN additionally rides the
-full-stroke return (``num_tracks - 1``) before continuing in its original
-direction; LOOK and C-LOOK reverse (or jump) at the extreme request, so
-their plans name no waypoints.
+Every policy is a plan: an order over arrival ranks plus the legs it
+reads them in (below).  :meth:`plattersim.metrics.SchedulerRun.priced`
+prices the planned ranks into the run record; it checks no bounds, because
+``Scenario`` checked the head and every request address once (a foreign
+visit sequence goes through ``metrics.replay``, which checks them, and any
+steps through ``oracle.verify_trace``).
 
 Same-track requests follow the queue convention described in
 :mod:`plattersim.workload`: the pending queue is a track-sorted list kept
@@ -20,9 +15,14 @@ when it crosses against it.  ``Scenario.sweeps`` lays the queue out once as
 the ``up`` list, every group read moving up, so a plan names legs, runs of
 ``up`` read forward (moving up) or backward: a sweep reads two, split at
 the head track, and SSTF one per run of groups it reads the same way.
-``SchedulerRun.priced`` copies their steps out of the scenario's priced
-layout (``Scenario.sweep_layout``).  FCFS ignores all of this: it services
-the queue as it arrived, and its walk is priced whole.
+A leg also names the edge tracks the arm passes on its way into it; only
+SCAN's and C-SCAN's second leg names any.  SCAN turns at the physical edge
+of the disk, and C-SCAN also rides the full-stroke return
+(``num_tracks - 1``) before continuing in its original direction; LOOK and
+C-LOOK reverse (or jump) at the extreme request.  ``SchedulerRun.priced``
+copies the legs' steps out of the scenario's priced layout
+(``Scenario.sweep_layout``).  FCFS ignores all of this: it services the
+queue as it arrived, and its walk is priced whole.
 
 No baseline handles bad sectors: each request to a bad address is tried
 ``RETRY_LIMIT`` times, on its planned visit and then in rounds at the
@@ -63,23 +63,23 @@ ALGORITHM_NAMES = BASELINE_NAMES + (PROPOSED_ALGORITHM,)
 DEFAULT_SWEEP_DIRECTION = "down"
 RETRY_LIMIT = 3  # attempts per request to a bad address before a baseline abandons it
 
-# A visit order over arrival ranks, the head path's waypoints keyed by visit
-# position, and the legs over the up list that the order reads first (see
-# metrics.replay and metrics.SchedulerRun.priced).
-Plan = tuple[list[int], dict[int, tuple[int, ...]], tuple[tuple[int, int, bool], ...]]
+# A visit order over arrival ranks and the legs over the up list that it
+# reads first, each (lo, hi, forward, edges) (see metrics.SchedulerRun.priced).
+Leg = tuple[int, int, bool, tuple[int, ...]]
+Plan = tuple[list[int], tuple[Leg, ...]]
 
 
 def _fcfs_plan(scenario: Scenario) -> Plan:
-    return list(range(len(scenario.requests))), {}, ()
+    return list(range(len(scenario.requests))), ()
 
 
-def _legs_plan(scenario: Scenario, legs: tuple[tuple[int, int, bool], ...], via: dict) -> Plan:
+def _legs_plan(scenario: Scenario, legs: tuple[Leg, ...]) -> Plan:
     """The plan that reads ``legs``, runs ``up[lo:hi]`` read forward or backward, in turn."""
     up = scenario.sweeps[2]
     order: list[int] = []
-    for lo, hi, forward in legs:
+    for lo, hi, forward, _ in legs:
         order += up[lo:hi] if forward else up[lo:hi][::-1]
-    return order, via, legs
+    return order, legs
 
 
 def _sstf_plan(scenario: Scenario) -> Plan:
@@ -90,7 +90,7 @@ def _sstf_plan(scenario: Scenario) -> Plan:
     cur = scenario.initial_head.track
     right = bisect_left(tracks, cur)
     left = right - 1
-    legs: list[list] = []  # [lo, hi, forward], made tuples at the end
+    legs: list[list] = []  # [lo, hi, forward, ()], made tuples at the end
     moving_up = scenario.queue_ascending  # zero movement counts as moving with the queue
     while left >= 0 or right < len(tracks):
         if right == len(tracks) or (left >= 0 and cur - tracks[left] <= tracks[right] - cur):
@@ -103,35 +103,28 @@ def _sstf_plan(scenario: Scenario) -> Plan:
         # The served groups stay contiguous, so groups read the same way in a
         # row are adjacent runs of up: one leg.
         if not legs or legs[-1][2] != moving_up:
-            legs.append([starts[g], starts[g + 1], moving_up])
+            legs.append([starts[g], starts[g + 1], moving_up, ()])
         elif moving_up:
             legs[-1][1] = starts[g + 1]
         else:
             legs[-1][0] = starts[g]
-    return _legs_plan(scenario, tuple(map(tuple, legs)), {})
+    return _legs_plan(scenario, tuple(map(tuple, legs)))
 
 
 def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
     # Two legs split where the head track falls: the groups on the first
-    # leg's side of the head, then the rest.
+    # leg's side of the head, then the rest, entered through the edge ahead
+    # (SCAN) or through it and the far edge (C-SCAN).
     tracks, starts, up = scenario.sweeps
     n = len(up)
-    head_track = scenario.initial_head.track
+    up_first = direction == "up"
     turns = variant in ("scan", "look")  # cscan / clook continue in the original direction
-    if direction == "down":
-        k = starts[bisect_right(tracks, head_track)]  # requests at or below the head
-        legs = (0, k, False), (k, n, turns)
-    else:
-        k = starts[bisect_left(tracks, head_track)]  # requests below the head
-        legs = (k, n, True), (0, k, not turns)
-
-    via: dict[int, tuple[int, ...]] = {}
-    first = legs[0][1] - legs[0][0]  # visits before the turn or the return
-    if first < n and variant in ("scan", "cscan"):
-        top = scenario.geometry.num_tracks - 1
-        edge, far_edge = (0, top) if direction == "down" else (top, 0)
-        via[first] = (edge,) if variant == "scan" else (edge, far_edge)
-    return _legs_plan(scenario, legs, via)
+    k = starts[(bisect_left if up_first else bisect_right)(tracks, scenario.initial_head.track)]
+    first, second = ((k, n), (0, k)) if up_first else ((0, k), (k, n))
+    top = scenario.geometry.num_tracks - 1
+    edge, far_edge = (top, 0) if up_first else (0, top)
+    edges = {"scan": (edge,), "cscan": (edge, far_edge)}.get(variant, ())
+    return _legs_plan(scenario, ((*first, up_first, ()), (*second, up_first != turns, edges)))
 
 
 def _look_plan(pick: Callable[[int, int, int], str]) -> Callable[[Scenario], Plan]:
@@ -192,10 +185,10 @@ def run_scheduler(
 ) -> SchedulerRun:
     """Plan and price one scheduler over one scenario.
 
-    Baselines price their planned visits through the plan's head path.
-    On a faulty scenario the retries follow the whole planned order, so
-    the plan's waypoints keep their visit positions.  ``modsbsm`` runs its
-    own multi-pass engine, whose record is returned as it is.
+    Baselines price their planned visits along the plan's legs, edge
+    tracks included.  On a faulty scenario the retries follow the whole
+    planned order, after the legs.  ``modsbsm`` runs its own multi-pass
+    engine, whose record is returned as it is.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -204,7 +197,7 @@ def run_scheduler(
     if algorithm == PROPOSED_ALGORITHM:
         return modsbsm.execute(scenario)
 
-    order, via, legs = _plan(scenario, algorithm, direction, use_hints)
+    order, legs = _plan(scenario, algorithm, direction, use_hints)
     abandoned: tuple[int, ...] = ()
     if scenario.faults:
         # A plan visits each rank once, so the retry-at-tail queue is closed
@@ -213,6 +206,6 @@ def run_scheduler(
         # order, and are abandoned on the last.
         abandoned = tuple(compress(order, map(scenario.on_bad_address.__getitem__, order)))
     return SchedulerRun.priced(
-        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], via, legs,
+        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], legs,
         abandoned=abandoned, note="failed visits retried at queue tail" if abandoned else "",
     )

@@ -1,10 +1,10 @@
 """Column pricing and sliced plans against the loops they replaced (``reference_loops``).
 
 Raw scenarios repeat addresses, mark some bad, and put the head anywhere,
-the disk edges included.  Every plan is replayed through its ``via``
-waypoints, a faulty baseline's visits and abandoned requests checked
-against the retry-at-tail deque loop; traces are then
-tampered with (latency, transfer, seek, an out-of-bounds address, a visit
+the disk edges included.  Every plan is replayed through its legs' edge
+tracks, keyed by visit position as ``via``, a faulty baseline's visits and
+abandoned requests checked against the retry-at-tail deque loop; traces are
+then tampered with (latency, transfer, seek, an out-of-bounds address, a visit
 replaced by another requested address, a repeated step, a cut), and some
 are handed over as a ``Trace`` of list columns, before ``verify_trace``
 checks them.  The baselines' plans, sliced from the
@@ -109,13 +109,24 @@ def scenarios(draw):
     )
 
 
+def _via(legs):
+    """Each non-empty leg's edges keyed by the visit position where the leg starts."""
+    via, position = {}, 0
+    for lo, hi, _, edges in legs:
+        if lo < hi and edges:
+            via[position] = edges
+        position += hi - lo
+    return via
+
+
 def _plans(scenario):
-    """(algorithm, direction, order, via, legs) of every baseline, each sweep both ways."""
+    """(algorithm, direction, order, via) of every baseline, each sweep both ways."""
     for algorithm in ALGORITHM_NAMES:
         if algorithm == "modsbsm":
             continue
         for direction in ("up", "down") if algorithm in SWEEP_NAMES else (None,):
-            yield (algorithm, direction, *_plan(scenario, algorithm, direction, False))
+            order, legs = _plan(scenario, algorithm, direction, False)
+            yield algorithm, direction, order, _via(legs)
 
 
 def _probes(scenario, faults):
@@ -134,7 +145,7 @@ def _outcome(fn, *args):
 @given(scenarios())
 def test_plans_price_retry_and_total_as_the_per_visit_loops(scenario):
     n = len(scenario.requests)
-    for algorithm, direction, order, via, _ in _plans(scenario):
+    for algorithm, direction, order, via in _plans(scenario):
         run = run_scheduler(scenario, algorithm, direction=direction)
         ref_faults = FaultModel(scenario.faults)
         ref_visits, _, ref_abandoned = ref.retry_at_tail(order, scenario, ref_faults)
@@ -186,7 +197,7 @@ DISK = (2, 10, 4)
 @example(_scenario(DISK, (5, 1, 1), [(8, 2, 3), (3, 1, 2)], [(3, 1, 2)]))
 def test_baseline_records_equal_replay_whatever_the_cache_state(scenario):
     n = len(scenario.requests)
-    plans = {(a, d): (order, via) for a, d, order, via, _ in _plans(dataclasses.replace(scenario))}
+    plans = {(a, d): (order, via) for a, d, order, via in _plans(dataclasses.replace(scenario))}
     # Two copies fill their sweep lists and layout in opposite algorithm
     # orders; every run also gets a copy of its own, whose caches are cold.
     forward, backward = dataclasses.replace(scenario), dataclasses.replace(scenario)
@@ -296,10 +307,11 @@ def _queues(draw):
 def test_sliced_plans_match_the_per_group_loops(scenario):
     for variant in SWEEP_NAMES:
         for direction in ("up", "down"):
-            plan = _plan(scenario, variant, direction, False)
-            assert plan[:2] == ref._sweep_plan(scenario, variant, direction), (variant, direction)
+            order, legs = _plan(scenario, variant, direction, False)
+            assert (order, _via(legs)) == ref._sweep_plan(scenario, variant, direction), (variant, direction)
     for algorithm, reference in ref.PLANS.items():
-        assert _plan(scenario, algorithm, None, False)[:2] == reference(scenario), algorithm
+        order, legs = _plan(scenario, algorithm, None, False)
+        assert (order, _via(legs)) == reference(scenario), algorithm
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,12 +323,12 @@ def test_sstf_legs_read_the_per_group_order_in_runs_that_cannot_merge(scenario, 
     scenario = dataclasses.replace(scenario, initial_head=scenario.initial_head._replace(track=track))
     up = scenario.sweeps[2]
     for algorithm in ("sstf", "mrsa"):
-        order, via, legs = _plan(scenario, algorithm, None, False)
-        read = [rank for lo, hi, forward in legs for rank in (up[lo:hi] if forward else up[lo:hi][::-1])]
-        assert read == order == ref._sstf_plan(scenario)[0] and via == {}, algorithm
-        assert sorted(i for lo, hi, _ in legs for i in range(lo, hi)) == list(range(len(up)))
-        assert all(lo < hi for lo, hi, _ in legs)
-        for (lo, hi, forward), (next_lo, next_hi, next_forward) in zip(legs, legs[1:]):
+        order, legs = _plan(scenario, algorithm, None, False)
+        read = [rank for lo, hi, forward, _ in legs for rank in (up[lo:hi] if forward else up[lo:hi][::-1])]
+        assert read == order == ref._sstf_plan(scenario)[0] and _via(legs) == {}, algorithm
+        assert sorted(i for lo, hi, _, _ in legs for i in range(lo, hi)) == list(range(len(up)))
+        assert all(lo < hi for lo, hi, _, _ in legs)
+        for (lo, hi, forward, _), (next_lo, next_hi, next_forward, _) in zip(legs, legs[1:]):
             assert forward != next_forward or (next_lo != hi if forward else next_hi != lo), legs
 
 

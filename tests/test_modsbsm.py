@@ -152,6 +152,17 @@ def test_multiple_bad_sectors_resolve_independently():
     assert sorted(result.order) == list(range(20))
 
 
+def test_a_fault_model_of_another_table_raises():
+    # The bad ranks come from the scenario's own table, so a model of any
+    # other table would count probes the run never makes.
+    scenario, _ = _with_fault(builtin_case(2), "65t1p3s", 0)
+    other = parse_index("65t1p4s")
+    for table in ((), (FaultSpec(other, 0),), (*scenario.faults, FaultSpec(other, 0))):
+        with pytest.raises(ValueError, match="fault_model's bad addresses differ"):
+            execute(scenario, FaultModel(table))
+    assert execute(scenario, FaultModel(scenario.faults)) == execute(scenario)
+
+
 def _faulty(head, triples, bad, geometry=DiskGeometry(4, 200, 8)):
     return Scenario(
         geometry=geometry,
