@@ -22,7 +22,10 @@ Parsing interns addresses in one table keyed by value: a parsed scenario
 holds one :class:`PhysicalAddress` object per distinct address (``01t1p1s``
 and ``1t1p1s`` included), which the head, every request and every ``bad``
 line naming it share, so repeated requests match dictionary keys by
-identity.
+identity.  A table keyed by text sits in front of it, so each distinct
+address token is parsed once.  :class:`Scenario` checks its queue's bounds
+over the columns of its distinct addresses and its arrival ranks in one
+pass, and walks the requests one by one only to report the first failure.
 
 The arrival order also fixes how same-track requests are queued: the pending
 queue is a track-sorted list kept in the direction the queue arrived in.  A
@@ -34,11 +37,11 @@ forward or backward depending on which way the head crosses the track.
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import attrgetter, ge, gt, itemgetter, ne
+from itertools import compress, count
+from operator import attrgetter, eq, ge, gt, itemgetter, ne
 
 from .faults import FaultSpec
 from .geometry import (
@@ -48,6 +51,7 @@ from .geometry import (
     parse_index,
     render_index,
     validate,
+    within,
 )
 from .metrics import Trace, columns, step_costs
 
@@ -67,23 +71,22 @@ class ScenarioError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class MemoryRequest:
+class MemoryRequest(namedtuple("MemoryRequest", "address op arrival_rank")):
     """One queued access: an address, read/write, and its place in the queue.
 
-    Bad-sector state is not kept here: MODSBSM counts failed probes per
-    address (see :mod:`plattersim.modsbsm`).
+    A checked named tuple, equal to the tuple of its fields; ``_replace`` and
+    ``_make`` skip the checks.  Bad-sector state is not kept here: MODSBSM
+    counts failed probes per address (see :mod:`plattersim.modsbsm`).
     """
 
-    address: PhysicalAddress
-    op: str = "r"
-    arrival_rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"op must be one of {OPS}, got {self.op!r}")
-        if self.arrival_rank < 0:
+    def __new__(cls, address: PhysicalAddress, op: str = "r", arrival_rank: int = 0):
+        if op not in OPS:
+            raise ValueError(f"op must be one of {OPS}, got {op!r}")
+        if arrival_rank < 0:
             raise ValueError("arrival_rank must be >= 0")
+        return tuple.__new__(cls, (address, op, arrival_rank))
 
 
 def _check_bounds(
@@ -108,13 +111,18 @@ class Scenario:
         object.__setattr__(self, "faults", tuple(self.faults))
         object.__setattr__(self, "direction_hints", tuple(self.direction_hints))
         _check_bounds(self.geometry, self.initial_head, "head", 0)
-        for i, req in enumerate(self.requests):
-            _check_bounds(self.geometry, req.address, "request", i)
-            if req.arrival_rank != i:
-                raise ScenarioError(
-                    f"request {i} carries arrival_rank {req.arrival_rank}",
-                    entry=("request", i),
-                )
+        # Column passes over the distinct addresses and the ranks; the
+        # per-request loop runs only to find the first failing request.
+        distinct = tuple(set(map(attrgetter("address"), self.requests)))
+        ranks = map(attrgetter("arrival_rank"), self.requests)
+        if not (within(self.geometry, columns(distinct)) and all(map(eq, ranks, count()))):
+            for i, req in enumerate(self.requests):
+                _check_bounds(self.geometry, req.address, "request", i)
+                if req.arrival_rank != i:
+                    raise ScenarioError(
+                        f"request {i} carries arrival_rank {req.arrival_rank}",
+                        entry=("request", i),
+                    )
         seen = set()
         for i, spec in enumerate(self.faults):
             _check_bounds(self.geometry, spec.address, "bad", i)
@@ -290,10 +298,14 @@ def parse_scenario(text: str) -> Scenario:
     hints: list[tuple[str, str]] = []
     linenos: defaultdict[str, list[int]] = defaultdict(list)
     shared: dict[PhysicalAddress, PhysicalAddress] = {}
+    by_token: dict[str, PhysicalAddress] = {}
 
-    def shared_address(text: str) -> PhysicalAddress:
-        parsed = parse_index(text)
-        return shared.setdefault(parsed, parsed)
+    def shared_address(token: str) -> PhysicalAddress:
+        address = by_token.get(token)
+        if address is None:
+            parsed = parse_index(token)
+            address = by_token[token] = shared.setdefault(parsed, parsed)
+        return address
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -302,7 +314,18 @@ def parse_scenario(text: str) -> Scenario:
         directive, *args = line.split()
         linenos[directive].append(lineno)
         try:
-            if directive == "geometry":
+            if directive == "request":
+                if not 1 <= len(args) <= 2:
+                    raise ValueError("request takes an address and optional op=")
+                address = shared_address(args[0])
+                op = "r"
+                if len(args) == 2:
+                    key, value = _parse_kv(args[1])
+                    if key != "op" or value not in OPS:
+                        raise ValueError(f"expected op=r or op=w, got {args[1]!r}")
+                    op = value
+                requests.append(MemoryRequest(address, op, len(requests)))
+            elif directive == "geometry":
                 if geometry is not None:
                     raise ValueError("geometry declared twice")
                 fields = dict(_parse_kv(tok) for tok in args)
@@ -319,17 +342,6 @@ def parse_scenario(text: str) -> Scenario:
                 if len(args) != 1:
                     raise ValueError("head takes exactly one address")
                 head = shared_address(args[0])
-            elif directive == "request":
-                if not 1 <= len(args) <= 2:
-                    raise ValueError("request takes an address and optional op=")
-                address = shared_address(args[0])
-                op = "r"
-                if len(args) == 2:
-                    key, value = _parse_kv(args[1])
-                    if key != "op" or value not in OPS:
-                        raise ValueError(f"expected op=r or op=w, got {args[1]!r}")
-                    op = value
-                requests.append(MemoryRequest(address, op, len(requests)))
             elif directive == "bad":
                 if len(args) != 2:
                     raise ValueError("bad takes an address and bit=")

@@ -9,9 +9,11 @@ addresses with ``bsm``.  ``PLANS`` are the baselines' plans built one track
 group at a time (``_groups``, ``_serve``), where the package slices lists
 laid out once per scenario.  ``parse_scenario`` builds a fresh address
 for every line, where the package's parser shares one object per distinct
-address.  The differential tests check that the versions in ``plattersim``
-return the same values, messages, exceptions, bad-sector tables, probe
-counts, plans and scenarios.
+address.  ``check_requests`` checks a queue's bounds and arrival ranks one
+request at a time, where ``Scenario`` checks columns of its distinct
+addresses and its ranks in one pass each.  The differential tests check
+that the versions in ``plattersim`` return the same values, messages,
+exceptions, bad-sector tables, probe counts, plans and scenarios.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from plattersim.workload import (
     MemoryRequest,
     Scenario,
     ScenarioError,
+    _check_bounds,
     _parse_int,
     _parse_kv,
 )
@@ -327,6 +330,17 @@ PLANS = {
     "smcc": _smcc_plan,
     "mrsa": _mrsa_plan,
 }
+
+
+def check_requests(geometry, requests):
+    """Raise the ``ScenarioError`` of the first request off the disk or out of rank."""
+    for i, req in enumerate(requests):
+        _check_bounds(geometry, req.address, "request", i)
+        if req.arrival_rank != i:
+            raise ScenarioError(
+                f"request {i} carries arrival_rank {req.arrival_rank}",
+                entry=("request", i),
+            )
 
 
 def parse_scenario(text: str) -> Scenario:

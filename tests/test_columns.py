@@ -14,9 +14,11 @@ no two of which could merge, and a walk without legs never builds the priced
 layout.  Every baseline record, each sweep both ways, equals the replay of
 its plan whatever order the scenario's cached sweep lists and priced layout
 were filled in.  Rendered scenarios, their lines mutated, parse as the per-line
-loop parses them, into one address object per distinct address.  A last
-test counts Python-level calls to show that no layer makes one per visit,
-cold caches included.
+loop parses them, into one address object per distinct address, and queues
+with requests off the disk or out of rank fail ``Scenario``'s column checks
+with the per-request loop's first error.  The last tests count Python-level
+calls to show that no layer makes one per visit, cold caches included, and
+that checking a queue makes none per request.
 """
 
 import dataclasses
@@ -446,7 +448,7 @@ def scenario_texts(draw):
     scenario = draw(scenarios())
     writes = draw(st.lists(st.booleans(), min_size=len(scenario.requests), max_size=len(scenario.requests)))
     requests = tuple(
-        dataclasses.replace(req, op=OPS[w]) for req, w in zip(scenario.requests, writes)
+        req._replace(op=OPS[w]) for req, w in zip(scenario.requests, writes)
     )
     lines = render_scenario(dataclasses.replace(scenario, requests=requests)).splitlines()
     for _ in range(draw(st.integers(1, 4))):
@@ -483,6 +485,36 @@ def test_parse_scenario_matches_the_per_line_loop_and_shares_addresses(text):
     shared = dict(zip(scenario.addresses, scenario.addresses))
     for address in (scenario.initial_head, *(spec.address for spec in scenario.faults)):
         assert shared.get(address, address) is address
+
+
+@st.composite
+def flawed_queues(draw):
+    """A geometry, a head and a queue with requests off the disk and/or out of rank."""
+    geometry = DiskGeometry(
+        draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    )
+    picks = draw(st.lists(_addresses(geometry), min_size=1, max_size=16))
+    requests = [MemoryRequest(a, arrival_rank=i) for i, a in enumerate(picks)]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(requests) - 1))
+        flaw = draw(st.sampled_from(("address", "rank", "both")))
+        if flaw != "rank":
+            requests[i] = requests[i]._replace(address=draw(_outside(geometry)))
+        if flaw != "address":
+            rank = draw(st.integers(0, 20).filter(lambda r: r != i))
+            requests[i] = requests[i]._replace(arrival_rank=rank)
+    return geometry, draw(_addresses(geometry)), tuple(requests)
+
+
+@settings(deadline=None)
+@given(flawed_queues())
+def test_column_checks_raise_the_per_request_loops_first_error(queue):
+    geometry, head, requests = queue
+    with pytest.raises(ScenarioError) as want:
+        ref.check_requests(geometry, requests)
+    with pytest.raises(ScenarioError) as got:
+        Scenario(geometry=geometry, initial_head=head, requests=requests)
+    assert (str(got.value), got.value.entry) == (str(want.value), want.value.entry)
 
 
 def _calls(fn, *args):
@@ -547,3 +579,12 @@ def test_no_python_call_per_visit():
     small, large = counts
     assert small == large
 
+
+def test_no_python_call_per_request_when_checking_a_queue():
+    counts = []
+    for n in (10**3, 10**4):
+        scenario = generate(DiskGeometry(4, 1000, 16), GeneratorParams(request_count=n, seed=3))
+        head, requests = scenario.initial_head, scenario.requests
+        counts.append(_calls(Scenario, scenario.geometry, head, requests))
+    small, large = counts
+    assert small == large

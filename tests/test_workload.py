@@ -1,11 +1,13 @@
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plattersim import workload
 from plattersim.faults import FaultSpec
-from plattersim.geometry import DiskGeometry, PhysicalAddress
+from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.workload import (
     BUILTIN_CASE_IDS,
     GeneratorParams,
@@ -242,6 +244,65 @@ def test_scenario_construction_checks_content_and_names_the_entry():
         Scenario(geometry=geom, initial_head=head, requests=reqs[:1], faults=(fault, fault))
     assert str(exc.value) == "duplicate bad entry for 5t1p1s"
     assert exc.value.entry == ("bad", 1)
+
+
+def test_parse_index_runs_once_per_distinct_token(monkeypatch):
+    tokens = Counter()
+
+    def counted(token):
+        tokens[token] += 1
+        return parse_index(token)
+
+    monkeypatch.setattr(workload, "parse_index", counted)
+    text = (
+        "geometry platters=1 tracks=10 sectors=8\nhead 5t1p1s\n"
+        "request 05t1p1s\nrequest 2t1p0s op=w\nrequest 5t1p1s\nrequest 05t1p1s\n"
+        "bad 2t1p0s bit=1\nbad 05t1p1s bit=0\nrequest 2t1p0s\n"
+    )
+    sc = parse_scenario(text)
+    assert tokens == Counter({"5t1p1s": 1, "05t1p1s": 1, "2t1p0s": 1})
+    five, two = sc.initial_head, sc.faults[0].address
+    assert [a is five for a in sc.addresses] == [True, False, True, True, False]
+    assert all(a is two for a in sc.addresses if a is not five)
+    assert sc.faults[1].address is five
+
+
+def test_an_out_of_bounds_token_on_two_request_lines_reports_the_first():
+    text = (
+        "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\n"
+        "request 2t1p1s\nrequest 12t1p1s\nrequest 3t1p1s\nrequest 12t1p1s\n"
+    )
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == "line 4: request: track 12 out of range 0..9"
+    assert (exc.value.line, exc.value.entry) == (4, ("request", 1))
+
+
+_A = PhysicalAddress(1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((_A, "x"), {}, "op must be one of ('r', 'w'), got 'x'"),
+        ((), {"address": _A, "op": "x"}, "op must be one of ('r', 'w'), got 'x'"),
+        ((_A, "r", -1), {}, "arrival_rank must be >= 0"),
+        ((), {"address": _A, "arrival_rank": -1}, "arrival_rank must be >= 0"),
+    ],
+)
+def test_memory_request_rejects_an_unknown_op_and_a_negative_rank(args, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MemoryRequest(*args, **kwargs)
+
+
+def test_memory_request_is_the_tuple_of_its_fields():
+    req = MemoryRequest(_A, arrival_rank=2)
+    assert req == (_A, "r", 2)
+    assert MemoryRequest(address=_A) == (_A, "r", 0)
+    assert (req.address, req.op, req.arrival_rank) == (_A, "r", 2)
+    # _replace and _make skip the checks.
+    assert req._replace(op="x").op == "x"
+    assert MemoryRequest._make((_A, "w", -1)).arrival_rank == -1
 
 
 def test_ten_thousand_bad_lines_parse_within_two_seconds():
