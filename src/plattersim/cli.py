@@ -7,11 +7,15 @@ exhaustive optimum, ``cases`` to dump the built-in workloads as files.
 Exit codes: 0 success, 1 usage errors, 2 scenario parse/bounds/value
 errors (including unreadable files), 3 oracle refusal on an oversized
 queue.
+
+The first ``main`` call builds the parser tree and later calls in the
+process share it, so callers must not change it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -60,7 +64,12 @@ def _add_scenario_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``plattersim`` parser tree, built on the first call and shared after.
+
+    Each ``parse_args`` gets its own namespace; do not change the tree.
+    """
     parser = _Parser(prog="plattersim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

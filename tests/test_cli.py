@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from plattersim import cli
 from plattersim.cli import main
 from plattersim.faults import FaultSpec
 from plattersim.geometry import render_index
@@ -240,3 +241,46 @@ def test_paper6_stdout_matches_the_recorded_bytes(capsys):
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert out == recorded["stdout"]
+
+
+def test_main_builds_one_parser_tree_per_process(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "plattersim":
+            built.append(self)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    codes = [
+        _run(capsys, "run", "--builtin", "2", "--alg", "look")[0],
+        _run(capsys, "compare", "--builtin", "2", "--algs", "fcfs,look")[0],
+        _run(capsys, "oracle", "--builtin", "1")[0],
+        _run(capsys, "run", "--builtin", "2", "--alg", "bogus")[0],
+        _run(capsys, "compare", "--builtin", "all", "--all", "--paper-directions")[0],
+    ]
+    assert codes == [0, 0, 3, 1, 0]
+    assert len(built) <= 1
+
+
+def test_a_shared_parser_prints_what_a_fresh_one_prints(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        (1, "run --builtin 2 --alg bogus"),
+        (1, "run --builtin 2"),
+        (0, "--help"),
+        (1, "compare --builtin 2 --algs nope"),
+        (2, "run --scenario missing.dss --alg fcfs"),
+        (3, "oracle --builtin 1"),
+        (0, "compare --builtin all --all --paper-directions"),
+        (1, "run --builtin 2 --alg bogus"),
+    ]
+
+    def outputs():
+        return [_run(capsys, *argv.split()) for _, argv in commands]
+
+    shared = outputs()
+    assert [code for code, _, _ in shared] == [code for code, _ in commands]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == shared
