@@ -27,8 +27,6 @@ from .metrics import (
     improvement,
     replay,
     totals,
-    totals_csv,
-    trace_csv,
 )
 from .modsbsm import (
     BadSectorEntry,
@@ -51,6 +49,8 @@ from .report import (
     compare_builtin_suite,
     compare_scenario,
     identify_builtin,
+    totals_csv,
+    trace_csv,
 )
 from .schedulers import (
     ALGORITHM_NAMES,

@@ -28,6 +28,7 @@ from .report import (
     normalize_algorithms,
     render_comparison_csv,
     render_comparison_table,
+    render_oracle,
     render_run_csv,
     render_run_table,
 )
@@ -205,15 +206,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    scenario = _load_scenario(args)
-    result = optimal_order(scenario, limit=args.max)
-    order = " ".join(map(render_index, result.visits))
-    t = result.totals
-    print(f"requests: {len(scenario.requests)}")
-    print(f"order: {order}")
-    print(
-        f"total: tskt={t.tskt} trl={t.trl} tdtt={t.tdtt} tdat={t.tdat} adat={t.adat_text}"
-    )
+    sys.stdout.write(render_oracle(optimal_order(_load_scenario(args), limit=args.max)))
     return 0
 
 

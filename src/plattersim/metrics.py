@@ -1,5 +1,7 @@
 """Pricing model for disk service sequences.
 
+It prices only: every output, CSV included, is rendered by :mod:`plattersim.report`.
+
 Every serviced request costs three integer components, all in abstract
 device units:
 
@@ -49,8 +51,6 @@ per read.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,7 +229,6 @@ class SchedulerRun:
     totals: AccessTotals
     bad_sector_table: tuple[BadSectorEntry, ...] = ()
     abandoned: tuple[int, ...] = ()
-    note: str = ""
     decisions: tuple[DirectionDecision, ...] = ()
 
     @classmethod
@@ -300,6 +299,11 @@ class SchedulerRun:
         return Trace.of(self.steps).visits
 
     @property
+    def note(self) -> str:
+        """Set only on a run that abandoned a request after retrying it at the queue tail."""
+        return "failed visits retried at queue tail" if self.abandoned else ""
+
+    @property
     def passes(self) -> int:
         """One per MODSBSM decision; every other run makes one pass."""
         return len(self.decisions) or 1
@@ -349,25 +353,3 @@ def energy_saved(projected_accesses: int) -> tuple[float, float]:
         )
     avoided = projected_accesses - 2
     return (ENERGY_PER_ACCESS * avoided, HEAT_PER_ACCESS * avoided)
-
-
-TRACE_CSV_HEADER = "step,track,platter,sector,seek,latency,transfer,access"
-TOTALS_CSV_HEADER = "algorithm,tskt,trl,tdtt,tdat,adat"
-
-
-def trace_csv(steps: Sequence[ServiceStep]) -> str:
-    """Render steps as CSV, one row per visit, 1-based step numbers."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_CSV_HEADER.split(","))
-    writer.writerows([k, *s.address, *s[1:], s.access] for k, s in enumerate(steps, 1))
-    return out.getvalue()
-
-
-def totals_csv(rows: Iterable[tuple[str, AccessTotals]]) -> str:
-    """Render (algorithm, totals) pairs as CSV under ``TOTALS_CSV_HEADER``."""
-    lines = [TOTALS_CSV_HEADER]
-    lines.extend(
-        f"{name},{t.tskt},{t.trl},{t.tdtt},{t.tdat},{t.adat_text}" for name, t in rows
-    )
-    return "\n".join(lines) + "\n"

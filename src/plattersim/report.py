@@ -1,4 +1,4 @@
-"""Side-by-side scheduler comparison and plain-text/CSV rendering.
+"""Side-by-side scheduler comparison, and every output format the CLI prints.
 
 The six built-in workloads ship with reference totals for cross-checking.
 ``compare_scenario`` replays the requested schedulers, reports the replayed
@@ -11,7 +11,10 @@ order.  A report derives its two headline percentages from its totals:
 they compare the proposed scheduler's ADAT against the mean of the six
 classic schedulers and against the mean of the five peer policies.
 
-All rendering here is deterministic: same inputs, same bytes.
+This module renders every output format: a run, a comparison and the
+oracle's answer.  A table (totals, trace, bad sectors) is one header plus
+rows, of ints and plain tokens, printed as text padded by one row format,
+or as CSV.  All rendering is deterministic: same inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .geometry import render_index
-from .metrics import AccessTotals, improvement, totals_csv, trace_csv
+from .metrics import AccessTotals, ServiceStep, improvement
 from .schedulers import (
     ALGORITHM_NAMES,
     PROPOSED_ALGORITHM,
@@ -31,8 +34,6 @@ from .schedulers import (
     run_scheduler,
 )
 from .workload import BUILTIN_CASE_IDS, Scenario, builtin_case
-
-BAD_CSV_HEADER = "index,bsi,classification,prescribed_bit,finalized"
 
 # Totals bundled with the built-in cases, keyed (case, algorithm) ->
 # (tskt, trl, tdtt, tdat).  Cases 1, 3 and 4 only carry the rows that are
@@ -242,25 +243,65 @@ def compare_builtin_suite(
 # ---------------------------------------------------------------------------
 # Rendering
 
+TOTALS_HEADER = ("algorithm", "tskt", "trl", "tdtt", "tdat", "adat")
+_TOTALS_FORMAT = "{:<10}{:>7}{:>6}{:>6}{:>7}{:>9}"
+TRACE_HEADER = ("step", "track", "platter", "sector", "seek", "latency", "transfer", "access")
+# The text trace is the paper's T S P ST RL DTT DAT table: the same rows,
+# without the step number, under the paper's labels.
+_TRACE_LABELS = ("step", "T", "P", "S", "ST", "RL", "DTT", "DAT")
+_TRACE_FORMAT = "{1:>5}{3:>4}{2:>4}{4:>6}{5:>5}{6:>5}{7:>6}"
+BAD_SECTOR_HEADER = ("index", "bsi", "classification", "prescribed_bit", "finalized")
+_BAD_SECTOR_FORMAT = "{:<12}{:>4}  {:<14}{:>15}{:>10}"
+
+
+def _totals_rows(rows: Iterable[tuple[str, AccessTotals]]) -> list[tuple]:
+    return [(name, *t.as_tuple(), t.adat_text) for name, t in rows]
+
+
+def _trace_rows(steps: Iterable[ServiceStep]) -> list[tuple]:
+    return [(k, *s.address, s.seek, s.latency, s.transfer, s.access) for k, s in enumerate(steps, 1)]
+
+
+def _bad_sector_rows(run: SchedulerRun) -> list[tuple]:
+    return [
+        (render_index(e.index), e.bsi, e.classification, e.prescribed_bit, e.finalized)
+        for e in run.bad_sector_table
+    ]
+
+
+def _text(row_format: str, header: tuple, rows: Iterable[tuple]) -> list[str]:
+    """The header and rows as lines, each padded by ``row_format``."""
+    return [row_format.format(*row) for row in (header, *rows)]
+
+
+def _csv(header: tuple, rows: Iterable[tuple]) -> str:
+    """The header and rows as comma-separated lines."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _total_line(t: AccessTotals) -> str:
+    return f"total: tskt={t.tskt} trl={t.trl} tdtt={t.tdtt} tdat={t.tdat} adat={t.adat_text}"
+
+
+def trace_csv(steps: Iterable[ServiceStep]) -> str:
+    """Render steps as CSV, one row per visit, 1-based step numbers."""
+    return _csv(TRACE_HEADER, _trace_rows(steps))
+
+
+def totals_csv(rows: Iterable[tuple[str, AccessTotals]]) -> str:
+    """Render (algorithm, totals) pairs as CSV under ``TOTALS_HEADER``."""
+    return _csv(TOTALS_HEADER, _totals_rows(rows))
+
 
 def render_comparison_table(report: ComparisonReport) -> str:
     lines = [f"workload: {report.label} ({report.request_count} requests)", ""]
-    lines.append(
-        f"{'algorithm':<10}{'tskt':>7}{'trl':>6}{'tdtt':>6}{'tdat':>7}{'adat':>9}"
-    )
-    for name, t in report.totals.items():
-        lines.append(
-            f"{name:<10}{t.tskt:>7}{t.trl:>6}{t.tdtt:>6}{t.tdat:>7}{t.adat_text:>9}"
-        )
-    if report.improvement_vs_traditional is not None:
+    lines += _text(_TOTALS_FORMAT, TOTALS_HEADER, _totals_rows(report.totals.items()))
+    vs_traditional, vs_referred = report.improvement_vs_traditional, report.improvement_vs_referred
+    if vs_traditional is not None:
         lines.append("")
-        lines.append(
-            f"improvement vs traditional mean: {report.improvement_vs_traditional:.2f}%"
-        )
-    if report.improvement_vs_referred is not None:
-        lines.append(
-            f"improvement vs referred mean: {report.improvement_vs_referred:.2f}%"
-        )
+        lines.append(f"improvement vs traditional mean: {vs_traditional:.2f}%")
+    if vs_referred is not None:
+        lines.append(f"improvement vs referred mean: {vs_referred:.2f}%")
     if report.discrepancies:
         lines.append("")
         lines.append("reference deltas (replayed value is authoritative):")
@@ -276,12 +317,11 @@ def render_comparison_table(report: ComparisonReport) -> str:
 
 def render_comparison_csv(report: ComparisonReport) -> str:
     lines = []
-    if report.improvement_vs_traditional is not None:
-        lines.append(
-            f"# improvement_vs_traditional={report.improvement_vs_traditional:.2f}"
-        )
-    if report.improvement_vs_referred is not None:
-        lines.append(f"# improvement_vs_referred={report.improvement_vs_referred:.2f}")
+    vs_traditional, vs_referred = report.improvement_vs_traditional, report.improvement_vs_referred
+    if vs_traditional is not None:
+        lines.append(f"# improvement_vs_traditional={vs_traditional:.2f}")
+    if vs_referred is not None:
+        lines.append(f"# improvement_vs_referred={vs_referred:.2f}")
     for d in report.discrepancies:
         lines.append(
             f"# delta case={d.case_id} alg={d.algorithm} metric={d.metric} "
@@ -293,51 +333,21 @@ def render_comparison_csv(report: ComparisonReport) -> str:
     return table + "".join(line + "\n" for line in lines)
 
 
-def _bad_table_lines(run: SchedulerRun) -> list[str]:
-    lines = ["bad sectors:"]
-    lines.append(
-        f"{'index':<12}{'bsi':>4}  {'classification':<14}{'prescribed_bit':>15}{'finalized':>10}"
-    )
-    for entry in run.bad_sector_table:
-        lines.append(
-            f"{render_index(entry.index):<12}{entry.bsi:>4}  "
-            f"{entry.classification:<14}{entry.prescribed_bit:>15}{entry.finalized:>10}"
-        )
-    return lines
-
-
 def render_run_table(run: SchedulerRun, with_trace: bool = False) -> str:
     lines = [f"algorithm: {run.algorithm}"]
     if with_trace:
-        lines.append(f"{'T':>5}{'S':>4}{'P':>4}{'ST':>6}{'RL':>5}{'DTT':>5}{'DAT':>6}")
-        for step in run.steps:
-            a = step.address
-            lines.append(
-                f"{a.track:>5}{a.sector:>4}{a.platter:>4}"
-                f"{step.seek:>6}{step.latency:>5}{step.transfer:>5}{step.access:>6}"
-            )
-    t = run.totals
-    lines.append(
-        f"total: tskt={t.tskt} trl={t.trl} tdtt={t.tdtt} tdat={t.tdat} adat={t.adat_text}"
-    )
+        lines += _text(_TRACE_FORMAT, _TRACE_LABELS, _trace_rows(run.steps))
+    lines.append(_total_line(run.totals))
     if run.passes != 1:
         lines.append(f"passes: {run.passes}")
     if run.bad_sector_table:
-        lines.extend(_bad_table_lines(run))
+        lines.append("bad sectors:")
+        lines += _text(_BAD_SECTOR_FORMAT, BAD_SECTOR_HEADER, _bad_sector_rows(run))
     if run.abandoned:
         ranks = ",".join(str(rank) for rank in run.abandoned)
         lines.append(f"abandoned requests (arrival ranks): {ranks}")
     if run.note:
         lines.append(f"note: {run.note}")
-    return "\n".join(lines) + "\n"
-
-
-def bad_table_csv(run: SchedulerRun) -> str:
-    lines = [BAD_CSV_HEADER]
-    for e in run.bad_sector_table:
-        lines.append(
-            f"{render_index(e.index)},{e.bsi},{e.classification},{e.prescribed_bit},{e.finalized}"
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -347,5 +357,11 @@ def render_run_csv(run: SchedulerRun, with_trace: bool = False) -> str:
         blocks.append(trace_csv(run.steps))
     blocks.append(totals_csv([(run.algorithm, run.totals)]))
     if run.bad_sector_table:
-        blocks.append(bad_table_csv(run))
+        blocks.append(_csv(BAD_SECTOR_HEADER, _bad_sector_rows(run)))
     return "\n".join(blocks)
+
+
+def render_oracle(run: SchedulerRun) -> str:
+    """The oracle's queue length, order and totals, as ``plattersim oracle`` prints them."""
+    order = " ".join(map(render_index, run.visits))
+    return f"requests: {run.totals.request_count}\norder: {order}\n{_total_line(run.totals)}\n"

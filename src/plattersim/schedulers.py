@@ -206,6 +206,5 @@ def run_scheduler(
         # order, and are abandoned on the last.
         abandoned = tuple(compress(order, map(scenario.on_bad_address.__getitem__, order)))
     return SchedulerRun.priced(
-        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], legs,
-        abandoned=abandoned, note="failed visits retried at queue tail" if abandoned else "",
+        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], legs, abandoned=abandoned
     )

@@ -9,6 +9,7 @@ values, so a regression in the modular arithmetic can't hide.
 import pytest
 from hypothesis import given, strategies as st
 
+from plattersim import totals_csv, trace_csv
 from plattersim.geometry import DiskGeometry, PhysicalAddress
 from plattersim.metrics import (
     AccessTotals,
@@ -20,8 +21,6 @@ from plattersim.metrics import (
     replay,
     step_costs,
     totals,
-    totals_csv,
-    trace_csv,
 )
 
 
