@@ -76,7 +76,7 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Sched
         for i in perm:
             cost += row[i]
             row = step[i + 1]
-        if best_cost is None or cost < best_cost or (cost == best_cost and perm < best_perm):
+        if best_cost is None or cost < best_cost:
             best_cost = cost
             best_perm = perm
 

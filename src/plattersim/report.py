@@ -7,9 +7,9 @@ disagrees with it.  A report's ``totals`` maps each algorithm to its
 ``AccessTotals`` in canonical (``ALGORITHM_NAMES``) order.
 ``compare_builtin_suite`` is the sum of the six per-case reports: totals
 summed per algorithm, reference deltas and notes concatenated in case
-order.  A report derives its two headline percentages from its totals:
-they compare the proposed scheduler's ADAT against the mean of the six
-classic schedulers and against the mean of the five peer policies.
+order.  A report reads its queue length and its two headline percentages
+from its totals: the percentages compare the proposed scheduler's ADAT
+against the means of the six classic schedulers and the five peer policies.
 
 This module renders every output format: a run, a comparison and the
 oracle's answer.  A table (totals, trace, bad sectors) is one header plus
@@ -130,7 +130,10 @@ class ComparisonReport:
     totals: dict[str, AccessTotals]
     discrepancies: tuple[Discrepancy, ...]
     notes: tuple[str, ...]
-    request_count: int
+
+    @property
+    def request_count(self) -> int:
+        return next(iter(self.totals.values())).request_count
 
     @property
     def improvement_vs_traditional(self) -> float | None:
@@ -212,7 +215,6 @@ def compare_scenario(
         totals=totals,
         discrepancies=discrepancies,
         notes=notes,
-        request_count=len(scenario.requests),
     )
 
 
@@ -236,7 +238,6 @@ def compare_builtin_suite(
         totals=totals,
         discrepancies=tuple(d for r in reports for d in r.discrepancies),
         notes=tuple(n for r in reports for n in r.notes),
-        request_count=sum(r.request_count for r in reports),
     )
 
 
@@ -293,15 +294,19 @@ def totals_csv(rows: Iterable[tuple[str, AccessTotals]]) -> str:
     return _csv(TOTALS_HEADER, _totals_rows(rows))
 
 
+def _improvements(report: ComparisonReport) -> list[tuple[str, float]]:
+    """The report's (group, percentage) pairs, traditional first, skipping any it lacks."""
+    pairs = (("traditional", report.improvement_vs_traditional),
+             ("referred", report.improvement_vs_referred))
+    return [(group, value) for group, value in pairs if value is not None]
+
+
 def render_comparison_table(report: ComparisonReport) -> str:
     lines = [f"workload: {report.label} ({report.request_count} requests)", ""]
     lines += _text(_TOTALS_FORMAT, TOTALS_HEADER, _totals_rows(report.totals.items()))
-    vs_traditional, vs_referred = report.improvement_vs_traditional, report.improvement_vs_referred
-    if vs_traditional is not None:
+    if improvements := _improvements(report):
         lines.append("")
-        lines.append(f"improvement vs traditional mean: {vs_traditional:.2f}%")
-    if vs_referred is not None:
-        lines.append(f"improvement vs referred mean: {vs_referred:.2f}%")
+        lines += (f"improvement vs {group} mean: {value:.2f}%" for group, value in improvements)
     if report.discrepancies:
         lines.append("")
         lines.append("reference deltas (replayed value is authoritative):")
@@ -316,21 +321,15 @@ def render_comparison_table(report: ComparisonReport) -> str:
 
 
 def render_comparison_csv(report: ComparisonReport) -> str:
-    lines = []
-    vs_traditional, vs_referred = report.improvement_vs_traditional, report.improvement_vs_referred
-    if vs_traditional is not None:
-        lines.append(f"# improvement_vs_traditional={vs_traditional:.2f}")
-    if vs_referred is not None:
-        lines.append(f"# improvement_vs_referred={vs_referred:.2f}")
+    lines = [f"improvement_vs_{group}={value:.2f}" for group, value in _improvements(report)]
     for d in report.discrepancies:
         lines.append(
-            f"# delta case={d.case_id} alg={d.algorithm} metric={d.metric} "
+            f"delta case={d.case_id} alg={d.algorithm} metric={d.metric} "
             f"computed={d.computed} reference={d.reference}"
         )
     for note in report.notes:
-        lines.append(f"# note {note}")
-    table = totals_csv(report.totals.items())
-    return table + "".join(line + "\n" for line in lines)
+        lines.append(f"note {note}")
+    return totals_csv(report.totals.items()) + "".join(f"# {line}\n" for line in lines)
 
 
 def render_run_table(run: SchedulerRun, with_trace: bool = False) -> str:

@@ -90,6 +90,8 @@ def test_geometry_validation():
         DiskGeometry(0, 200, 8)
     with pytest.raises(ValueError):
         DiskGeometry(4, 0, 8)
+    with pytest.raises(ValueError, match="sectors_per_track must be >= 1, got 0"):
+        DiskGeometry(1, 10, 0)
     geom = DiskGeometry(4, 200, 8)
     assert geom.address_count == 4 * 200 * 8
 

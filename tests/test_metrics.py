@@ -109,6 +109,8 @@ def test_totals_identity_and_adat_formatting():
     assert AccessTotals(223, 75, 49, 20).adat_text == "17.35"
     assert AccessTotals(223, 51, 45, 20).adat_text == "15.95"
     assert AccessTotals(0, 0, 22, 22).adat_text == "1.00"
+    with pytest.raises(ValueError, match="request_count must be >= 1"):
+        AccessTotals(1, 1, 1, 0)
 
 
 def test_adat_is_exact_internally():
@@ -124,6 +126,8 @@ def test_improvement_examples():
     assert round(vs_referred, 1) == 7.5
     with pytest.raises(ValueError):
         improvement([], 1.0)
+    with pytest.raises(ValueError, match="baseline mean is zero"):
+        improvement([0.0], 1.0)
 
 
 def test_energy_saved():

@@ -203,6 +203,15 @@ def test_direction_resolution_precedence():
     assert default.order[0] != hinted.order[0]  # default sweeps down
 
 
+def test_hints_without_a_hint_for_the_scheduler_sweep_down():
+    scenario = generate(DiskGeometry(2, 60, 8), GeneratorParams(request_count=12, seed=2))
+    assert scenario.hint("scan") is None
+    hinted = run_scheduler(scenario, "scan", use_hints=True)
+    down = run_scheduler(scenario, "scan", direction="down")
+    assert (hinted.order, hinted.totals) == (down.order, down.totals)
+    assert down.order != run_scheduler(scenario, "scan", direction="up").order
+
+
 def test_invalid_direction_value_rejected_after_empty_queue():
     with pytest.raises(ValueError) as excinfo:
         run_scheduler(builtin_case(1), "scan", direction="sideways")

@@ -178,6 +178,31 @@ direction scan=up
             "platter is numbered from 1, got 0",
             3,
         ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\nrequest 1t1p1s op=r x\n",
+            "line 3: request takes an address and optional op=",
+            3,
+        ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 2t1p1s 3t1p1s\n",
+            "line 2: head takes exactly one address",
+            2,
+        ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\nbad 1t1p1s\n",
+            "line 3: bad takes an address and bit=",
+            3,
+        ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\ndirection scan=up look=down\n",
+            "line 3: direction takes one scheduler=up|down pair",
+            3,
+        ),
+        (
+            "geometry platters=1 tracks=10 sectors=8\nhead 1t1p1s\nbad 1t1p1s bit\n",
+            "line 3: expected key=value, got 'bit'",
+            3,
+        ),
     ],
 )
 def test_parse_errors_carry_context(text, fragment, line):
