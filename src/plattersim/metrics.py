@@ -30,8 +30,9 @@ and transfers, each latency ``l`` turned into ``(S - l) mod S``); it prices
 only the step into each leg and the visits after the last, the whole walk
 when there are no legs.
 Seek includes the edge tracks the arm passes between two visits (SCAN
-turning at the disk edge, C-SCAN's full-stroke return): a plan's legs name
-them, and ``replay`` and ``step_costs`` take them as ``via``.
+turning at the disk edge, C-SCAN's full-stroke return): only a plan's legs
+name them, and ``SchedulerRun.priced`` passes them to ``step_costs`` as
+``via``; ``replay`` prices a straight move from each visit to the next.
 Aggregates follow the usual naming — TSKT (total seek), TRL (total
 rotational latency), TDTT (total data transfer), TDAT (their sum) and ADAT
 (TDAT per request).
@@ -149,9 +150,8 @@ def step_costs(
     if via:
         seeks = list(seeks)
         for k, waypoints in via.items():
-            if 0 <= k < len(seeks):
-                path = (tracks[k], *waypoints, tracks[k + 1])
-                seeks[k] = sum(map(abs, map(sub, path[1:], path)))
+            path = (tracks[k], *waypoints, tracks[k + 1])
+            seeks[k] = sum(map(abs, map(sub, path[1:], path)))
     return (
         seeks,
         map(mod, map(sub, islice(sectors, 1, None), sectors), repeat(sectors_per_track)),
@@ -163,14 +163,12 @@ def replay(
     geometry: DiskGeometry,
     head: PhysicalAddress,
     visits: Iterable[PhysicalAddress],
-    via: Mapping[int, Sequence[int]] | None = None,
 ) -> Trace:
     """Check and price a visit sequence from the given head position.
 
     The reference position for each step is the previously visited address
-    (the head starts at ``head``); ``via`` maps a 0-based visit position to
-    the waypoints the arm passes on its way to that visit.  The first address
-    off the disk, the head's included, raises ``GeometryBoundsError``.
+    (the head starts at ``head``).  The first address off the disk, the
+    head's included, raises ``GeometryBoundsError``.
     """
     validate(geometry, head)
     visits = tuple(visits)
@@ -178,7 +176,7 @@ def replay(
     if not within(geometry, positions):
         for addr in visits:
             validate(geometry, addr)
-    costs = step_costs(geometry.sectors_per_track, positions, via)
+    costs = step_costs(geometry.sectors_per_track, positions)
     return Trace(visits, *map(tuple, costs))
 
 

@@ -196,7 +196,11 @@ def compare_scenario(
     algorithms: Iterable[str] | None = None,
     paper_directions: bool = False,
 ) -> ComparisonReport:
-    """Run the selected schedulers over one scenario and compare totals."""
+    """Run the selected schedulers over one scenario and compare totals.
+
+    ``paper_directions`` applies the scenario's direction hints; it defaults
+    to False here but to True in ``compare_builtin_suite``.
+    """
     names = normalize_algorithms(algorithms)
     totals = {
         name: run_scheduler(scenario, name, use_hints=paper_directions).totals for name in names
@@ -224,8 +228,10 @@ def compare_builtin_suite(
 ) -> ComparisonReport:
     """The per-algorithm sum of the six built-in cases' reports.
 
-    ADAT is taken over the combined request count; per-case reference
-    deltas and notes are concatenated in case order.
+    Each case is reported by ``compare_scenario`` with this
+    ``paper_directions``, whose default is True here but False there.  ADAT
+    is taken over the combined request count; per-case reference deltas and
+    notes are concatenated in case order.
     """
     names = normalize_algorithms(algorithms)
     reports = [compare_scenario(case, names, paper_directions) for _, case in _BUILTIN_CASES]

@@ -50,7 +50,7 @@ from typing import Callable
 
 from . import modsbsm
 from .metrics import SchedulerRun
-from .workload import DIRECTION_HINT_NAMES, DIRECTIONS, Scenario
+from .workload import DIRECTION_HINT_NAMES, Scenario
 
 SWEEP_NAMES = DIRECTION_HINT_NAMES
 # The report's groups: the classic schedulers, the peer policies, the proposed one.
@@ -151,7 +151,7 @@ def _mrsa_plan(scenario: Scenario) -> Plan:
 
 
 # Plans of the baselines that pick their own direction; the four sweeps
-# take theirs from the caller (see _plan).
+# take theirs from the scenario (see _plan).
 PLANS: dict[str, Callable[[Scenario], Plan]] = {
     "fcfs": _fcfs_plan,
     "sstf": _sstf_plan,
@@ -163,41 +163,34 @@ PLANS: dict[str, Callable[[Scenario], Plan]] = {
 }
 
 
-def _plan(scenario: Scenario, algorithm: str, direction: str | None, use_hints: bool) -> Plan:
-    """The algorithm's plan; a sweep goes ``direction``, else the hint if used, else the default."""
+def _plan(scenario: Scenario, algorithm: str, use_hints: bool) -> Plan:
+    """The algorithm's plan; a sweep goes the scenario's hint if used, else the default."""
     if not scenario.requests:
         raise ValueError("scenario has no requests")
     if algorithm not in SWEEP_NAMES:
         return PLANS[algorithm](scenario)
-    if direction is None:
-        direction = (use_hints and scenario.hint(algorithm)) or DEFAULT_SWEEP_DIRECTION
-    elif direction not in DIRECTIONS:
-        raise ValueError(f"direction must be up or down, got {direction!r}")
+    direction = (use_hints and scenario.hint(algorithm)) or DEFAULT_SWEEP_DIRECTION
     return _sweep_plan(scenario, algorithm, direction)
 
 
-def run_scheduler(
-    scenario: Scenario,
-    algorithm: str,
-    *,
-    direction: str | None = None,
-    use_hints: bool = False,
-) -> SchedulerRun:
+def run_scheduler(scenario: Scenario, algorithm: str, *, use_hints: bool = False) -> SchedulerRun:
     """Plan and price one scheduler over one scenario.
 
     Baselines price their planned visits along the plan's legs, edge
     tracks included.  On a faulty scenario the retries follow the whole
     planned order, after the legs.  ``modsbsm`` runs its own multi-pass
     engine, whose record is returned as it is.
+
+    Only the scenario sets a sweep's direction: ``scan``, ``cscan``,
+    ``look`` and ``clook`` go their ``direction_hints`` entry when
+    ``use_hints`` is set, and ``DEFAULT_SWEEP_DIRECTION`` otherwise.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if direction is not None and algorithm not in SWEEP_NAMES:
-        raise ValueError(f"direction only applies to {', '.join(SWEEP_NAMES)}")
     if algorithm == PROPOSED_ALGORITHM:
         return modsbsm.execute(scenario)
 
-    order, legs = _plan(scenario, algorithm, direction, use_hints)
+    order, legs = _plan(scenario, algorithm, use_hints)
     abandoned: tuple[int, ...] = ()
     if scenario.faults:
         # A plan visits each rank once, so the retry-at-tail queue is closed

@@ -14,6 +14,9 @@ request at a time, where ``Scenario`` checks columns of its distinct
 addresses and its ranks in one pass each.  The differential tests check
 that the versions in ``plattersim`` return the same values, messages,
 exceptions, bad-sector tables, probe counts, plans and scenarios.
+``seek_floor`` is no earlier implementation: it is the closed-form least
+seek of any walk over a queue, which the property tests hold every
+scheduler to.
 """
 
 from __future__ import annotations
@@ -69,6 +72,22 @@ def replay(geometry, head, visits, via=None):
         steps.append(ServiceStep(addr, *step_cost(pos, addr, sectors, via.get(k, ()))))
         pos = addr
     return steps
+
+
+def seek_floor(scenario):
+    """The least total seek of any walk from the head that visits every requested track.
+
+    Such a walk reaches both the lowest track ``lo`` and the highest ``hi``.
+    From a head ``h`` inside ``[lo, hi]`` it first reaches one end, at least
+    ``min(h - lo, hi - h)``, then crosses to the other, ``hi - lo``; from
+    outside, reaching the far extreme passes the near one on the way.
+    """
+    tracks = [req.address.track for req in scenario.requests]
+    lo, hi, h = min(tracks), max(tracks), scenario.initial_head.track
+    if lo <= h <= hi:
+        return (hi - lo) + min(h - lo, hi - h)
+    far = hi if h < lo else lo
+    return abs(far - h)
 
 
 def totals_tuple(steps):

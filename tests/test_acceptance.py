@@ -15,7 +15,7 @@ from plattersim.metrics import energy_saved, step_costs
 from plattersim.modsbsm import execute
 from plattersim.oracle import optimal_order, verify_trace
 from plattersim.report import compare_builtin_suite, compare_scenario
-from plattersim.schedulers import ALGORITHM_NAMES, run_scheduler
+from plattersim.schedulers import ALGORITHM_NAMES, SWEEP_NAMES, run_scheduler
 from plattersim.workload import GeneratorParams, builtin_case, generate
 from plattersim.geometry import DiskGeometry
 
@@ -172,10 +172,12 @@ def test_criterion_7_properties_1000_scenarios():
             head = scenario.initial_head.track
             expected_seek = min(abs(head - min(tracks)), abs(max(tracks) - head)) + span
 
-            for direction in ("up", "down"):
-                look = run_scheduler(scenario, "look", direction=direction)
-                scan = run_scheduler(scenario, "scan", direction=direction)
-                assert look.totals.tskt <= scan.totals.tskt, (seed, direction)
+            # Sweeps hinted up run up with the hints and down, the default, without.
+            hinted_up = dataclasses.replace(scenario, direction_hints=tuple((n, "up") for n in SWEEP_NAMES))
+            for use_hints in (True, False):
+                look = run_scheduler(hinted_up, "look", use_hints=use_hints)
+                scan = run_scheduler(hinted_up, "scan", use_hints=use_hints)
+                assert look.totals.tskt <= scan.totals.tskt, (seed, use_hints)
 
             mods = run_scheduler(scenario, "modsbsm")
             assert mods.totals.tskt == expected_seek, seed

@@ -1,11 +1,13 @@
 """Column pricing and sliced plans against the loops they replaced (``reference_loops``).
 
 Raw scenarios repeat addresses, mark some bad, and put the head anywhere,
-the disk edges included.  Every plan is replayed through its legs' edge
-tracks, keyed by visit position as ``via``, a faulty baseline's visits and
-abandoned requests checked against the retry-at-tail deque loop; traces are
-then tampered with (latency, transfer, seek, an out-of-bounds address, a visit
-replaced by another requested address, a repeated step, a cut), and some
+the disk edges included; their sweeps are hinted up, so ``use_hints`` runs
+each sweep up and its absence down.  Every plan is priced by the per-visit
+loop through its legs' edge tracks, keyed by visit position as ``via``, a
+faulty baseline's visits and abandoned requests checked against the
+retry-at-tail deque loop; traces are then tampered with (latency, transfer,
+seek, an out-of-bounds address, a visit replaced by another requested
+address, a repeated step, a cut), and some
 are handed over as a ``Trace`` of list columns, before ``verify_trace``
 checks them.  The baselines' plans, sliced from the
 scenario's sweep lists, are checked against plans built one track group at
@@ -121,14 +123,19 @@ def _via(legs):
     return via
 
 
+def _sweeps_up(scenario):
+    """The scenario with every sweep hinted up: use_hints=True runs them up, False down."""
+    return dataclasses.replace(scenario, direction_hints=tuple((name, "up") for name in SWEEP_NAMES))
+
+
 def _plans(scenario):
-    """(algorithm, direction, order, via) of every baseline, each sweep both ways."""
+    """(algorithm, use_hints, order, via) of every baseline, each sweep both ways."""
     for algorithm in ALGORITHM_NAMES:
         if algorithm == "modsbsm":
             continue
-        for direction in ("up", "down") if algorithm in SWEEP_NAMES else (None,):
-            order, legs = _plan(scenario, algorithm, direction, False)
-            yield algorithm, direction, order, _via(legs)
+        for use_hints in (True, False) if algorithm in SWEEP_NAMES else (False,):
+            order, legs = _plan(scenario, algorithm, use_hints)
+            yield algorithm, use_hints, order, _via(legs)
 
 
 def _probes(scenario, faults):
@@ -146,9 +153,9 @@ def _outcome(fn, *args):
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 def test_plans_price_retry_and_total_as_the_per_visit_loops(scenario):
-    n = len(scenario.requests)
-    for algorithm, direction, order, via in _plans(scenario):
-        run = run_scheduler(scenario, algorithm, direction=direction)
+    scenario = _sweeps_up(scenario)
+    for algorithm, use_hints, order, via in _plans(scenario):
+        run = run_scheduler(scenario, algorithm, use_hints=use_hints)
         ref_faults = FaultModel(scenario.faults)
         ref_visits, _, ref_abandoned = ref.retry_at_tail(order, scenario, ref_faults)
         visits = [scenario.requests[rank].address for rank in ref_visits]
@@ -158,11 +165,10 @@ def test_plans_price_retry_and_total_as_the_per_visit_loops(scenario):
         probes = [RETRY_LIMIT * abandoned_at[spec.address] for spec in scenario.faults]
         assert probes == _probes(scenario, ref_faults), algorithm
 
-        steps = replay(scenario.geometry, scenario.initial_head, visits, via)
-        assert steps == ref.replay(scenario.geometry, scenario.initial_head, visits, via)
-        assert all(type(s) is ServiceStep for s in steps)
-        assert totals(steps, n).as_tuple()[:3] == ref.totals_tuple(steps)
-        assert run.steps == tuple(steps), algorithm
+        steps = ref.replay(scenario.geometry, scenario.initial_head, visits, via)
+        assert run.steps == steps, algorithm
+        assert all(type(s) is ServiceStep for s in run.steps)
+        assert run.totals.as_tuple()[:3] == ref.totals_tuple(steps), algorithm
     run = run_scheduler(scenario, "modsbsm")
     assert list(run.steps) == ref.replay(scenario.geometry, scenario.initial_head, run.visits)
 
@@ -199,41 +205,35 @@ DISK = (2, 10, 4)
 @example(_scenario(DISK, (5, 1, 1), [(8, 2, 3), (3, 1, 2)], [(3, 1, 2)]))
 def test_baseline_records_equal_replay_whatever_the_cache_state(scenario):
     n = len(scenario.requests)
-    plans = {(a, d): (order, via) for a, d, order, via in _plans(dataclasses.replace(scenario))}
+    scenario = _sweeps_up(scenario)
+    plans = {(a, h): (order, via) for a, h, order, via in _plans(dataclasses.replace(scenario))}
     # Two copies fill their sweep lists and layout in opposite algorithm
     # orders; every run also gets a copy of its own, whose caches are cold.
     forward, backward = dataclasses.replace(scenario), dataclasses.replace(scenario)
-    runs = {key: run_scheduler(forward, key[0], direction=key[1]) for key in plans}
-    rerun = {key: run_scheduler(backward, key[0], direction=key[1]) for key in reversed(plans)}
+    runs = {key: run_scheduler(forward, key[0], use_hints=key[1]) for key in plans}
+    rerun = {key: run_scheduler(backward, key[0], use_hints=key[1]) for key in reversed(plans)}
     up = [scenario.addresses[rank] for rank in forward.sweeps[2]]
     assert forward.sweep_layout == replay(scenario.geometry, scenario.initial_head, up)
-    for (algorithm, direction), (order, via) in plans.items():
+    for (algorithm, use_hints), (order, via) in plans.items():
         ref_visits, _, abandoned = ref.retry_at_tail(order, scenario, FaultModel(scenario.faults))
         visits = [scenario.addresses[rank] for rank in ref_visits]
-        steps = replay(scenario.geometry, scenario.initial_head, visits, via)
+        steps = Trace.of(ref.replay(scenario.geometry, scenario.initial_head, visits, via))
         expected = SchedulerRun(
             algorithm, tuple(order), steps, totals(steps, n), abandoned=tuple(abandoned),
         )
-        alone = run_scheduler(dataclasses.replace(scenario), algorithm, direction=direction)
-        key = algorithm, direction
+        alone = run_scheduler(dataclasses.replace(scenario), algorithm, use_hints=use_hints)
+        key = algorithm, use_hints
         assert runs[key] == rerun[key] == alone == expected, key
 
 
 @settings(max_examples=200, deadline=None)
 @given(scenarios(), st.data())
-def test_replay_prices_any_via_and_raises_as_the_per_visit_loop(scenario, data):
+def test_replay_prices_and_raises_as_the_per_visit_loop(scenario, data):
     geometry = scenario.geometry
     address = st.one_of(_addresses(geometry), _outside(geometry))
     head = data.draw(st.one_of(st.just(scenario.initial_head), address))
     visits = data.draw(st.lists(address, max_size=8))
-    via = data.draw(st.dictionaries(
-        st.integers(-2, len(visits) + 1),
-        st.lists(st.integers(0, geometry.num_tracks - 1), max_size=3),
-        max_size=3,
-    ))
-    assert _outcome(replay, geometry, head, visits, via) == _outcome(
-        ref.replay, geometry, head, visits, via
-    )
+    assert _outcome(replay, geometry, head, visits) == _outcome(ref.replay, geometry, head, visits)
 
 
 @st.composite
@@ -306,12 +306,13 @@ def _queues(draw):
 @settings(max_examples=300, deadline=None)
 @given(_queues())
 def test_sliced_plans_match_the_per_group_loops(scenario):
+    scenario = _sweeps_up(scenario)
     for variant in SWEEP_NAMES:
-        for direction in ("up", "down"):
-            order, legs = _plan(scenario, variant, direction, False)
+        for use_hints, direction in ((True, "up"), (False, "down")):
+            order, legs = _plan(scenario, variant, use_hints)
             assert (order, _via(legs)) == ref._sweep_plan(scenario, variant, direction), (variant, direction)
     for algorithm, reference in ref.PLANS.items():
-        order, legs = _plan(scenario, algorithm, None, False)
+        order, legs = _plan(scenario, algorithm, False)
         assert (order, _via(legs)) == reference(scenario), algorithm
 
 
@@ -324,7 +325,7 @@ def test_sstf_legs_read_the_per_group_order_in_runs_that_cannot_merge(scenario, 
     scenario = dataclasses.replace(scenario, initial_head=scenario.initial_head._replace(track=track))
     up = scenario.sweeps[2]
     for algorithm in ("sstf", "mrsa"):
-        order, legs = _plan(scenario, algorithm, None, False)
+        order, legs = _plan(scenario, algorithm, False)
         read = [rank for lo, hi, forward, _ in legs for rank in (up[lo:hi] if forward else up[lo:hi][::-1])]
         assert read == order == ref._sstf_plan(scenario)[0] and _via(legs) == {}, algorithm
         assert sorted(i for lo, hi, _, _ in legs for i in range(lo, hi)) == list(range(len(up)))
@@ -550,7 +551,6 @@ def _clean_pass(n):
         PhysicalAddress(t, 1, 0) for t in range(geometry.num_tracks)
         if PhysicalAddress(t, 1, 0) not in requested
     )
-    via = {n // 2: (0,)}
     # The schedulers take the faulty path; a head on the edge track picks
     # the same plan kind (mrsa's sweep) at every size.
     faulty = dataclasses.replace(
@@ -558,7 +558,7 @@ def _clean_pass(n):
     )
 
     def run(faulty):
-        steps = replay(geometry, scenario.initial_head, scenario.addresses, via)
+        steps = replay(geometry, scenario.initial_head, scenario.addresses)
         run_totals = totals(steps, n)
         assert verify_trace(scenario, steps, run_totals) == []
         for algorithm in ALGORITHM_NAMES:

@@ -13,7 +13,10 @@ scenarios plus drawn direction hints round-trip through their text, and
 one injected content error is reported at its own line wherever the
 geometry line sits.  MODSBSM: the bad-sector scenarios, and the same with
 the head on an edge track, run the same as the request-object reference
-engine.
+engine.  Seek floor: on all three kinds of scenario, with their faults and
+without, no scheduler seeks less than ``reference_loops.seek_floor`` with
+its sweeps going either way, and the nearer-extreme walks meet the floor
+when no request is to a bad address.
 """
 
 from dataclasses import replace
@@ -198,6 +201,28 @@ def test_sstf_and_mrsa_match_the_rescanning_reference(scenario):
         assert list(run_scheduler(scenario, "mrsa").order) == reference
     else:
         assert run_scheduler(scenario, "mrsa").order == run_scheduler(scenario, "odsa").order
+
+
+# Schedulers that head for the nearer extreme first (smcc judges it by the
+# span's midpoint), so on a fault-free queue they seek exactly the floor.
+FLOOR_SEEKERS = ("modsbsm", "odsa", "hdsa", "smcc")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(scenarios(), edge_head_scenarios(), track_scenarios()))
+def test_no_scheduler_seeks_below_the_floor(scenario):
+    up = tuple((name, "up") for name in DIRECTION_HINT_NAMES)
+    for faults in {scenario.faults, ()}:
+        queue = replace(scenario, faults=faults, direction_hints=up)
+        floor = ref.seek_floor(queue)
+        fault_free = not any(queue.on_bad_address)
+        for algorithm in ALGORITHM_NAMES:
+            # A sweep runs up with the hints and down, the default, without.
+            for use_hints in (True, False) if algorithm in DIRECTION_HINT_NAMES else (False,):
+                tskt = run_scheduler(queue, algorithm, use_hints=use_hints).totals.tskt
+                assert tskt >= floor, (algorithm, use_hints)
+                if fault_free and algorithm in FLOOR_SEEKERS:
+                    assert tskt == floor, algorithm
 
 
 @st.composite

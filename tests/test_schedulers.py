@@ -17,6 +17,7 @@ from plattersim.oracle import verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
     BASELINE_NAMES,
+    SWEEP_NAMES,
     run_scheduler,
 )
 from plattersim.workload import (
@@ -92,6 +93,11 @@ def _scenario(head, triples, tracks=200, platters=4, sectors=8):
     )
 
 
+def _sweeps_up(scenario):
+    """The scenario with every sweep hinted up: use_hints=True runs them up, False down."""
+    return dataclasses.replace(scenario, direction_hints=tuple((name, "up") for name in SWEEP_NAMES))
+
+
 def test_fcfs_is_arrival_order():
     scenario = builtin_case(4)
     assert list(run_scheduler(scenario, "fcfs").order) == list(range(20))
@@ -121,7 +127,7 @@ def test_same_track_group_reverses_against_queue_direction():
         (65, 1, 0),
         [(48, 1, 1), (48, 1, 2), (48, 1, 3), (90, 1, 4), (90, 1, 5)],
     )
-    order = run_scheduler(sc, "look", direction="down").order
+    order = run_scheduler(sc, "look").order
     addresses = [sc.requests[i].address for i in order]
     assert [(a.track, a.sector) for a in addresses] == [
         (48, 3), (48, 2), (48, 1), (90, 4), (90, 5),
@@ -132,7 +138,7 @@ def test_case1_downward_pass_reads_groups_backwards():
     # head 65, queue ascending: the 48-track group arrived with sectors
     # 7,0,4,6 and must come out reversed on the way down.
     scenario = builtin_case(1)
-    order = run_scheduler(scenario, "look", direction="down").order
+    order = run_scheduler(scenario, "look").order
     addresses = [scenario.requests[i].address for i in order]
     first_leg = [(a.track, a.sector) for a in addresses[:6]]
     assert first_leg == [(60, 1), (48, 6), (48, 4), (48, 0), (48, 7), (15, 2)]
@@ -140,7 +146,7 @@ def test_case1_downward_pass_reads_groups_backwards():
 
 def test_scan_boundary_is_priced_on_the_reversal_step():
     scenario = builtin_case(2)
-    run = run_scheduler(scenario, "scan", direction="down")
+    run = run_scheduler(scenario, "scan")
     # 7 requests at or below the head; the 8th step carries 28 -> 0 -> 106.
     assert run.steps[6].address.track == 28
     assert run.steps[7].address.track == 106
@@ -150,7 +156,7 @@ def test_scan_boundary_is_priced_on_the_reversal_step():
 
 def test_cscan_wrap_is_one_full_stroke():
     scenario = builtin_case(2)
-    run = run_scheduler(scenario, "cscan", direction="down")
+    run = run_scheduler(scenario, "cscan")
     # 28 -> 0, full stroke 199, then 199 -> 185 on the same step
     assert run.steps[7].address.track == 185
     assert run.steps[7].seek == 28 + 199 + 14
@@ -159,13 +165,13 @@ def test_cscan_wrap_is_one_full_stroke():
 
 def test_scan_skips_trailing_boundary_when_nothing_remains():
     sc = _scenario((50, 1, 0), [(40, 1, 1), (30, 1, 2)])
-    run = run_scheduler(sc, "scan", direction="down")
+    run = run_scheduler(sc, "scan")
     assert run.totals.tskt == 20  # never rides to track 0
 
 
 def test_scan_touches_boundary_even_if_first_leg_is_empty():
     sc = _scenario((50, 1, 0), [(60, 1, 1), (70, 1, 2)])
-    run = run_scheduler(sc, "scan", direction="down")
+    run = run_scheduler(sc, "scan")
     # down to 0 first, then up to 60 and 70
     assert run.steps[0].seek == 50 + 60
     assert run.totals.tskt == 120
@@ -173,33 +179,32 @@ def test_scan_touches_boundary_even_if_first_leg_is_empty():
 
 def test_cscan_skips_wrap_when_far_side_is_empty():
     sc = _scenario((50, 1, 0), [(40, 1, 1), (30, 1, 2)])
-    run = run_scheduler(sc, "cscan", direction="down")
+    run = run_scheduler(sc, "cscan")
     assert run.totals.tskt == 20
 
 
 def test_clook_jump_prices_direct_distance():
     scenario = builtin_case(2)
-    run = run_scheduler(scenario, "clook", direction="down")
+    run = run_scheduler(scenario, "clook")
     assert run.steps[7].seek == 185 - 28
     assert run.totals.tskt == 283
 
 
 def test_look_never_beats_itself_but_scan_pays_the_boundary():
     for case_id in (1, 2, 3, 4, 5, 6):
-        scenario = builtin_case(case_id)
-        for direction in ("up", "down"):
-            look = run_scheduler(scenario, "look", direction=direction)
-            scan = run_scheduler(scenario, "scan", direction=direction)
+        scenario = _sweeps_up(builtin_case(case_id))
+        for use_hints in (True, False):  # up, then the default down
+            look = run_scheduler(scenario, "look", use_hints=use_hints)
+            scan = run_scheduler(scenario, "scan", use_hints=use_hints)
             assert look.totals.tskt <= scan.totals.tskt
 
 
 def test_direction_resolution_precedence():
     scenario = builtin_case(5)  # hints say up
     hinted = run_scheduler(scenario, "scan", use_hints=True)
-    explicit = run_scheduler(scenario, "scan", direction="down", use_hints=True)
     default = run_scheduler(scenario, "scan")
     assert hinted.totals.as_tuple() == (314, 72, 51, 437)
-    assert explicit.totals.as_tuple() != hinted.totals.as_tuple()
+    assert default.totals.as_tuple() != hinted.totals.as_tuple()
     assert default.order[0] != hinted.order[0]  # default sweeps down
 
 
@@ -207,26 +212,19 @@ def test_hints_without_a_hint_for_the_scheduler_sweep_down():
     scenario = generate(DiskGeometry(2, 60, 8), GeneratorParams(request_count=12, seed=2))
     assert scenario.hint("scan") is None
     hinted = run_scheduler(scenario, "scan", use_hints=True)
-    down = run_scheduler(scenario, "scan", direction="down")
+    down = run_scheduler(scenario, "scan")
     assert (hinted.order, hinted.totals) == (down.order, down.totals)
-    assert down.order != run_scheduler(scenario, "scan", direction="up").order
+    assert down.order != run_scheduler(_sweeps_up(scenario), "scan", use_hints=True).order
 
 
 def test_invalid_direction_value_rejected_after_empty_queue():
+    # A direction reaches a sweep only as a hint, which Scenario checks.
     with pytest.raises(ValueError) as excinfo:
-        run_scheduler(builtin_case(1), "scan", direction="sideways")
+        dataclasses.replace(builtin_case(1), direction_hints=(("scan", "sideways"),))
     assert str(excinfo.value) == "direction must be up or down, got 'sideways'"
     empty = dataclasses.replace(builtin_case(1), requests=())
     with pytest.raises(ValueError, match="no requests"):
-        run_scheduler(empty, "scan", direction="sideways")
-
-
-def test_direction_rejected_for_non_sweeps():
-    scenario = builtin_case(1)
-    with pytest.raises(ValueError):
-        run_scheduler(scenario, "sstf", direction="up")
-    with pytest.raises(ValueError):
-        run_scheduler(scenario, "modsbsm", direction="up")
+        run_scheduler(empty, "scan", use_hints=True)
 
 
 def test_unknown_algorithm_rejected():
