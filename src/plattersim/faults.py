@@ -1,33 +1,28 @@
 """Unreadable-sector bookkeeping.
 
 A fault table marks addresses whose stored bit cannot be read directly and
-records what that bit actually is.  ``FaultModel`` wraps the table at run
-time and counts MODSBSM's probes of each bad address; a baseline's probes of
-one are ``RETRY_LIMIT`` times the requests it abandons there.  Once MODSBSM
-has pinned a bad sector's content down, later reads are answered from its
-prescribed-bit entry instead of touching the platter again
-(``metrics.energy_saved`` prices those avoided reads from a projected read
-count, not from probe counts).
+records what that bit actually is.  A ``FaultSpec`` is a plain named tuple,
+checked only as part of a ``Scenario``, and MODSBSM prescribes its bit.
+``FaultModel`` wraps the table at run time and only counts MODSBSM's probes
+of each bad address; a baseline's probes of one are ``RETRY_LIMIT`` times
+the requests it abandons there.  Once MODSBSM has pinned a bad sector's
+content down, later reads are answered from its prescribed-bit entry instead
+of touching the platter again (``metrics.energy_saved`` prices those avoided
+reads from a projected read count, not from probe counts).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, KeysView
+from typing import Iterable, KeysView, NamedTuple
 
 from .geometry import PhysicalAddress, render_index
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """One permanently unreadable sector and the bit value it holds."""
 
     address: PhysicalAddress
     true_bit: int
-
-    def __post_init__(self):
-        if self.true_bit not in (0, 1):
-            raise ValueError(f"true_bit must be 0 or 1, got {self.true_bit}")
 
 
 class FaultModel:

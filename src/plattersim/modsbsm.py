@@ -91,14 +91,14 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     actually served; a request answered from a finalized table entry is
     served without a physical step.  The run record carries the per-pass
     ``decisions`` and the bad-sector table as well, which lists addresses in
-    the order their second failure tabled them.  ``fault_model`` (by default
-    ``FaultModel(scenario.faults)``) counts the probes; one whose bad addresses
-    are not the scenario's fault addresses raises ``ValueError``.
+    the order their second failure tabled them.  Each entry prescribes the
+    scenario's own bit for its address.  ``fault_model`` (by default
+    ``FaultModel(scenario.faults)``) only counts the probes; one whose bad
+    addresses are not the scenario's fault addresses raises ``ValueError``.
     """
-    if not scenario.requests:
-        raise ValueError("scenario has no requests")
+    bits = dict(scenario.faults)
     faults = fault_model if fault_model is not None else FaultModel(scenario.faults)
-    if faults.bad_addresses != {spec.address for spec in scenario.faults}:
+    if faults.bad_addresses != bits.keys():
         raise ValueError("fault_model's bad addresses differ from the scenario's fault table")
     addresses = scenario.addresses
     tracks, platters, sectors = columns(addresses)
@@ -151,7 +151,7 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
         pending = carry
 
     # A tabled address is carried to the next pass, whose probe finalizes it.
-    table = tuple(BadSectorEntry(addr, faults.true_bit(addr)) for addr in tabled)
+    table = tuple(BadSectorEntry(addr, bits[addr]) for addr in tabled)
     return SchedulerRun.priced(
         scenario, "modsbsm", served, walk, bad_sector_table=table, decisions=tuple(decisions)
     )

@@ -53,8 +53,6 @@ def optimal_order(scenario: Scenario, limit: int = MAX_ORACLE_REQUESTS) -> Sched
     The result is the run record of algorithm ``"oracle"``.
     """
     n = len(scenario.requests)
-    if n == 0:
-        raise ValueError("scenario has no requests")
     if n > limit:
         raise OracleSizeError(
             f"{n} requests exceed the exhaustive-search cap of {limit}"

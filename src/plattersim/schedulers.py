@@ -165,8 +165,6 @@ PLANS: dict[str, Callable[[Scenario], Plan]] = {
 
 def _plan(scenario: Scenario, algorithm: str, use_hints: bool) -> Plan:
     """The algorithm's plan; a sweep goes the scenario's hint if used, else the default."""
-    if not scenario.requests:
-        raise ValueError("scenario has no requests")
     if algorithm not in SWEEP_NAMES:
         return PLANS[algorithm](scenario)
     direction = (use_hints and scenario.hint(algorithm)) or DEFAULT_SWEEP_DIRECTION

@@ -15,8 +15,9 @@ direction hints.  The text form is line oriented::
 ``geometry`` and ``head`` appear exactly once; ``request`` lines are kept in
 file order (that order *is* the arrival order); ``op`` defaults to ``r`` and
 is omitted by the renderer when it is ``r``.  Parsing checks only syntax;
-:class:`Scenario` checks the content (bounds, duplicate ``bad`` entries,
-hints); every error raised for a line carries that line's number, once.
+:class:`Scenario` checks the content (bounds, ops, ranks, ``bad`` bits and
+duplicates, hints, a non-empty queue); every error raised for a line
+carries that line's number, once.
 
 Parsing interns addresses in one table keyed by value: a parsed scenario
 holds one :class:`PhysicalAddress` object per distinct address (``01t1p1s``
@@ -24,8 +25,8 @@ and ``1t1p1s`` included), which the head, every request and every ``bad``
 line naming it share, so repeated requests match dictionary keys by
 identity.  A table keyed by text sits in front of it, so each distinct
 address token is parsed once.  :class:`Scenario` checks its queue's bounds
-over the columns of its distinct addresses and its arrival ranks in one
-pass, and walks the requests one by one only to report the first failure.
+(over its distinct addresses), ops and arrival ranks as columns, and walks
+the requests one by one only to report the first failure.
 
 The arrival order also fixes how same-track requests are queued: the pending
 queue is a track-sorted list kept in the direction the queue arrived in.  A
@@ -37,11 +38,12 @@ forward or backward depending on which way the head crosses the track.
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 from operator import attrgetter, eq, ge, gt, itemgetter, ne
+from typing import NamedTuple
 
 from .faults import FaultSpec
 from .geometry import (
@@ -71,22 +73,17 @@ class ScenarioError(ValueError):
         super().__init__(message)
 
 
-class MemoryRequest(namedtuple("MemoryRequest", "address op arrival_rank")):
+class MemoryRequest(NamedTuple):
     """One queued access: an address, read/write, and its place in the queue.
 
-    A checked named tuple, equal to the tuple of its fields; ``_replace`` and
-    ``_make`` skip the checks.  Bad-sector state is not kept here: MODSBSM
+    A plain named tuple, equal to the tuple of its fields, checked only as
+    part of a :class:`Scenario`.  Bad-sector state is not kept here: MODSBSM
     counts failed probes per address (see :mod:`plattersim.modsbsm`).
     """
 
-    __slots__ = ()
-
-    def __new__(cls, address: PhysicalAddress, op: str = "r", arrival_rank: int = 0):
-        if op not in OPS:
-            raise ValueError(f"op must be one of {OPS}, got {op!r}")
-        if arrival_rank < 0:
-            raise ValueError("arrival_rank must be >= 0")
-        return tuple.__new__(cls, (address, op, arrival_rank))
+    address: PhysicalAddress
+    op: str = "r"
+    arrival_rank: int = 0
 
 
 def _check_bounds(
@@ -111,13 +108,16 @@ class Scenario:
         object.__setattr__(self, "faults", tuple(self.faults))
         object.__setattr__(self, "direction_hints", tuple(self.direction_hints))
         _check_bounds(self.geometry, self.initial_head, "head", 0)
-        # Column passes over the distinct addresses and the ranks; the
-        # per-request loop runs only to find the first failing request.
+        # Column passes over the distinct addresses, the ops and the ranks;
+        # the per-request loop runs only to find the first failing request.
         distinct = tuple(set(map(attrgetter("address"), self.requests)))
-        ranks = map(attrgetter("arrival_rank"), self.requests)
-        if not (within(self.geometry, columns(distinct)) and all(map(eq, ranks, count()))):
+        ops = all(map(OPS.__contains__, map(attrgetter("op"), self.requests)))
+        ranks = all(map(eq, map(attrgetter("arrival_rank"), self.requests), count()))
+        if not (ops and ranks and within(self.geometry, columns(distinct))):
             for i, req in enumerate(self.requests):
                 _check_bounds(self.geometry, req.address, "request", i)
+                if req.op not in OPS:
+                    raise ScenarioError(f"op must be one of {OPS}, got {req.op!r}", entry=("request", i))
                 if req.arrival_rank != i:
                     raise ScenarioError(
                         f"request {i} carries arrival_rank {req.arrival_rank}",
@@ -126,6 +126,8 @@ class Scenario:
         seen = set()
         for i, spec in enumerate(self.faults):
             _check_bounds(self.geometry, spec.address, "bad", i)
+            if str(spec.true_bit) not in ("0", "1"):  # as a file writes it: not True, not 1.0
+                raise ScenarioError(f"true_bit must be 0 or 1, got {spec.true_bit}", entry=("bad", i))
             if spec.address in seen:
                 raise ScenarioError(
                     f"duplicate bad entry for {render_index(spec.address)}",
@@ -146,6 +148,8 @@ class Scenario:
             if name in names:
                 raise ScenarioError(f"duplicate direction hint for {name}", entry=entry)
             names.add(name)
+        if not self.requests:
+            raise ScenarioError("scenario has no requests")
 
     def hint(self, algorithm: str) -> str | None:
         for name, direction in self.direction_hints:
@@ -289,7 +293,8 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers.
 
     Syntax errors come first, in line order; then a missing geometry or head;
-    then the first content error :class:`Scenario` finds, at its entry's line.
+    then the first content error :class:`Scenario` finds, at its entry's line;
+    then an empty queue, which has no line.
     """
     geometry: DiskGeometry | None = None
     head: PhysicalAddress | None = None
@@ -372,6 +377,8 @@ def parse_scenario(text: str) -> Scenario:
             direction_hints=tuple(hints),
         )
     except ScenarioError as exc:
+        if exc.entry is None:
+            raise
         directive, index = exc.entry
         raise ScenarioError(str(exc), linenos[directive][index], exc.entry) from None
 

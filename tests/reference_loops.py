@@ -366,7 +366,8 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers.
 
     Syntax errors come first, in line order; then a missing geometry or head;
-    then the first content error :class:`Scenario` finds, at its entry's line.
+    then the first content error :class:`Scenario` finds, at its entry's line;
+    then an empty queue, which has no line.
     """
     geometry: DiskGeometry | None = None
     head: PhysicalAddress | None = None
@@ -440,5 +441,7 @@ def parse_scenario(text: str) -> Scenario:
             direction_hints=tuple(hints),
         )
     except ScenarioError as exc:
+        if exc.entry is None:
+            raise
         directive, index = exc.entry
         raise ScenarioError(str(exc), linenos[directive][index], exc.entry) from None

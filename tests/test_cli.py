@@ -202,9 +202,31 @@ def test_parse_and_bounds_errors_exit_2(tmp_path, capsys):
 
     empty = tmp_path / "empty.dss"
     empty.write_text("geometry platters=1 tracks=10 sectors=8\nhead 3t1p0s\n")
-    code, _, err = _run(capsys, "run", "--scenario", str(empty), "--alg", "fcfs")
-    assert code == 2
-    assert "no requests" in err
+    for argv in (("run", "--alg", "fcfs"), ("compare", "--all"), ("oracle",)):
+        code, out, err = _run(capsys, *argv, "--scenario", str(empty))
+        assert (code, out, err) == (2, "", "plattersim: scenario has no requests\n"), argv
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--requests", "0"), "request_count must be >= 1"),
+        (("--platters", "0"), "num_platters must be >= 1, got 0"),
+        (("--requests", "500"), "request_count 500 exceeds the 80 addressable sectors"),
+        (("--bad", "5"), "bad_count must be between 0 and request_count"),
+        (("--seed", "-1"), "seed must fit in an unsigned 64-bit integer"),
+    ],
+)
+def test_gen_input_errors_exit_2_and_write_nothing(flags, message, tmp_path, capsys):
+    # A 1x10x8 disk (80 sectors) and 3 requests, one flag overridden.
+    defaults = {"--requests": "3", "--platters": "1", "--tracks": "10", "--sectors": "8",
+                "--order": "random", "--seed": "1"}
+    defaults.update([flags])
+    out_file = tmp_path / "gen.dss"
+    argv = ["gen", "--out", str(out_file), *(token for item in defaults.items() for token in item)]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"plattersim: {message}\n")
+    assert not out_file.exists()
 
 
 def test_oracle_refusal_exits_3(tmp_path, capsys):

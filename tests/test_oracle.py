@@ -14,7 +14,7 @@ from plattersim.oracle import (
     verify_trace,
 )
 from plattersim.schedulers import run_scheduler
-from plattersim.workload import GeneratorParams, MemoryRequest, Scenario, generate
+from plattersim.workload import GeneratorParams, MemoryRequest, Scenario, ScenarioError, generate
 
 
 def _scenario(head, triples, geometry=None):
@@ -73,13 +73,9 @@ def test_oracle_limit_is_adjustable():
 
 
 def test_oracle_rejects_empty_scenarios():
-    sc = Scenario(
-        geometry=DiskGeometry(1, 10, 8),
-        initial_head=PhysicalAddress(0, 1, 0),
-        requests=(),
-    )
-    with pytest.raises(ValueError):
-        optimal_order(sc)
+    # Scenario refuses an empty queue, so the oracle is never handed one.
+    with pytest.raises(ScenarioError, match="^scenario has no requests$"):
+        Scenario(geometry=DiskGeometry(1, 10, 8), initial_head=PhysicalAddress(0, 1, 0), requests=())
 
 
 def test_oracle_never_beaten_by_schedulers_smoke():

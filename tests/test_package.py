@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import plattersim
+import plattersim.cli  # README names `plattersim.cli.main`: bind the submodule whatever ran first
 
 
 def test_every_exported_name_resolves_once():

@@ -11,7 +11,9 @@ tracks and a head on, below or above the pending tracks common, and the
 queue arrives ascending, descending or at random.  Parser: the bad-sector
 scenarios plus drawn direction hints round-trip through their text, and
 one injected content error is reported at its own line wherever the
-geometry line sits.  MODSBSM: the bad-sector scenarios, and the same with
+geometry line sits.  Content checks: scenario parts with ops, ranks and
+bits in and out of range, and queues empty or not, either fail at their
+first bad entry or round-trip through their text.  MODSBSM: the bad-sector scenarios, and the same with
 the head on an edge track, run the same as the request-object reference
 engine.  Seek floor: on all three kinds of scenario, with their faults and
 without, no scheduler seeks less than ``reference_loops.seek_floor`` with
@@ -22,6 +24,7 @@ when no request is to a bad address.
 from dataclasses import replace
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_loops as ref
@@ -239,6 +242,53 @@ def hinted_scenarios(draw):
 @given(hinted_scenarios())
 def test_raw_scenarios_round_trip_through_text(scenario):
     assert parse_scenario(render_scenario(scenario)) == scenario
+
+
+def _first_bad_entry(requests, faults):
+    """The entry ``Scenario`` must name for these in-bounds parts, or None."""
+    for i, (_, op, rank) in enumerate(requests):
+        if op not in ("r", "w") or rank != i:
+            return ("request", i)
+    seen = set()
+    for i, (address, bit) in enumerate(faults):
+        if str(bit) not in ("0", "1") or address in seen:
+            return ("bad", i)
+        seen.add(address)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scenario_parts_either_fail_at_their_first_bad_entry_or_round_trip(data):
+    draw = data.draw
+    geometry = DiskGeometry(draw(st.integers(1, 2)), draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    address = st.builds(
+        PhysicalAddress,
+        st.integers(0, geometry.num_tracks - 1),
+        st.integers(1, geometry.num_platters),
+        st.integers(0, geometry.sectors_per_track - 1),
+    )
+    # In-range parts, then up to two ops, ranks and bits each put out of
+    # range; the queue may be empty.
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    ops = draw(st.lists(st.sampled_from("rw"), min_size=n, max_size=n))
+    ranks = list(range(n))
+    bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    for column, wrong in ((ops, ("x", "R", "")), (ranks, (-1, n)), (bits, (-1, 2, True, 1.0))):
+        for i in draw(st.sets(st.integers(0, len(column) - 1), max_size=2)) if column else ():
+            column[i] = draw(st.sampled_from(wrong))
+    addresses = draw(st.lists(address, min_size=n + k, max_size=n + k))
+    requests = tuple(map(MemoryRequest._make, zip(addresses, ops, ranks)))
+    faults = tuple(map(FaultSpec._make, zip(addresses[n:], bits)))
+    expected = _first_bad_entry(requests, faults)
+    head = draw(address)
+    if expected is None and requests:
+        scenario = Scenario(geometry, head, requests, faults)
+        assert parse_scenario(render_scenario(scenario)) == scenario
+    else:
+        with pytest.raises(ScenarioError) as exc:
+            Scenario(geometry, head, requests, faults)
+        assert exc.value.entry == expected
 
 
 ERROR_KINDS = (

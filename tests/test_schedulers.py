@@ -24,6 +24,7 @@ from plattersim.workload import (
     GeneratorParams,
     MemoryRequest,
     Scenario,
+    ScenarioError,
     builtin_case,
     generate,
 )
@@ -217,14 +218,16 @@ def test_hints_without_a_hint_for_the_scheduler_sweep_down():
     assert down.order != run_scheduler(_sweeps_up(scenario), "scan", use_hints=True).order
 
 
-def test_invalid_direction_value_rejected_after_empty_queue():
-    # A direction reaches a sweep only as a hint, which Scenario checks.
-    with pytest.raises(ValueError) as excinfo:
-        dataclasses.replace(builtin_case(1), direction_hints=(("scan", "sideways"),))
-    assert str(excinfo.value) == "direction must be up or down, got 'sideways'"
-    empty = dataclasses.replace(builtin_case(1), requests=())
-    with pytest.raises(ValueError, match="no requests"):
-        run_scheduler(empty, "scan", use_hints=True)
+def test_invalid_direction_value_rejected_before_empty_queue():
+    # A direction reaches a sweep only as a hint, which Scenario checks, and
+    # an empty queue is the last thing it checks.
+    sideways = (("scan", "sideways"),)
+    for requests in (builtin_case(1).requests, ()):
+        with pytest.raises(ScenarioError) as excinfo:
+            dataclasses.replace(builtin_case(1), requests=requests, direction_hints=sideways)
+        assert str(excinfo.value) == "direction must be up or down, got 'sideways'"
+    with pytest.raises(ScenarioError, match="^scenario has no requests$"):
+        dataclasses.replace(builtin_case(1), requests=())
 
 
 def test_unknown_algorithm_rejected():
@@ -233,14 +236,9 @@ def test_unknown_algorithm_rejected():
 
 
 def test_empty_scenario_rejected():
-    sc = Scenario(
-        geometry=DiskGeometry(1, 10, 8),
-        initial_head=PhysicalAddress(0, 1, 0),
-        requests=(),
-    )
-    for algorithm in ("fcfs", "look", "modsbsm"):
-        with pytest.raises(ValueError, match="no requests"):
-            run_scheduler(sc, algorithm)
+    # Scenario refuses an empty queue, so no scheduler is handed one.
+    with pytest.raises(ScenarioError, match="^scenario has no requests$"):
+        Scenario(geometry=DiskGeometry(1, 10, 8), initial_head=PhysicalAddress(0, 1, 0), requests=())
 
 
 def test_every_order_is_a_permutation():

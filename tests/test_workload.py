@@ -220,9 +220,11 @@ def test_non_integer_geometry_field_carries_one_line_prefix():
     assert str(exc.value) == "line 1: tracks must be an integer, got 'x'"
 
 
-def test_empty_scenario_parses_but_has_no_requests():
-    sc = parse_scenario("geometry platters=1 tracks=10 sectors=8\nhead 0t1p0s\n")
-    assert sc.requests == ()
+def test_empty_scenario_is_rejected_without_a_line():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("geometry platters=1 tracks=10 sectors=8\nhead 0t1p0s\n")
+    assert str(exc.value) == "scenario has no requests"
+    assert (exc.value.line, exc.value.entry) == (None, None)
 
 
 def test_duplicate_bad_entry_rejected():
@@ -269,6 +271,20 @@ def test_scenario_construction_checks_content_and_names_the_entry():
         Scenario(geometry=geom, initial_head=head, requests=reqs[:1], faults=(fault, fault))
     assert str(exc.value) == "duplicate bad entry for 5t1p1s"
     assert exc.value.entry == ("bad", 1)
+    # The parts are plain records: Scenario is what checks them.
+    unknown_op = MemoryRequest._make((PhysicalAddress(4, 1, 1), "x", 1))
+    with pytest.raises(ScenarioError) as exc:
+        Scenario(geometry=geom, initial_head=head, requests=(reqs[0], unknown_op))
+    assert str(exc.value) == "op must be one of ('r', 'w'), got 'x'"
+    assert exc.value.entry == ("request", 1)
+    with pytest.raises(ScenarioError) as exc:
+        Scenario(geometry=geom, initial_head=head, requests=reqs[:1], faults=(FaultSpec(fault.address, 2),))
+    assert str(exc.value) == "true_bit must be 0 or 1, got 2"
+    assert exc.value.entry == ("bad", 0)
+    with pytest.raises(ScenarioError) as exc:
+        Scenario(geometry=geom, initial_head=head, requests=())
+    assert str(exc.value) == "scenario has no requests"
+    assert exc.value.entry is None
 
 
 def test_parse_index_runs_once_per_distinct_token(monkeypatch):
@@ -311,13 +327,15 @@ _A = PhysicalAddress(1, 1, 1)
     [
         ((_A, "x"), {}, "op must be one of ('r', 'w'), got 'x'"),
         ((), {"address": _A, "op": "x"}, "op must be one of ('r', 'w'), got 'x'"),
-        ((_A, "r", -1), {}, "arrival_rank must be >= 0"),
-        ((), {"address": _A, "arrival_rank": -1}, "arrival_rank must be >= 0"),
+        ((_A, "r", -1), {}, "request 0 carries arrival_rank -1"),
+        ((), {"address": _A, "arrival_rank": -1}, "request 0 carries arrival_rank -1"),
     ],
 )
-def test_memory_request_rejects_an_unknown_op_and_a_negative_rank(args, kwargs, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        MemoryRequest(*args, **kwargs)
+def test_scenario_rejects_a_request_with_an_unknown_op_or_a_negative_rank(args, kwargs, message):
+    request = MemoryRequest(*args, **kwargs)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$") as exc:
+        Scenario(geometry=DiskGeometry(1, 10, 8), initial_head=_A, requests=(request,))
+    assert exc.value.entry == ("request", 0)
 
 
 def test_memory_request_is_the_tuple_of_its_fields():
@@ -325,13 +343,12 @@ def test_memory_request_is_the_tuple_of_its_fields():
     assert req == (_A, "r", 2)
     assert MemoryRequest(address=_A) == (_A, "r", 0)
     assert (req.address, req.op, req.arrival_rank) == (_A, "r", 2)
-    # _replace and _make skip the checks.
     assert req._replace(op="x").op == "x"
     assert MemoryRequest._make((_A, "w", -1)).arrival_rank == -1
 
 
 def test_ten_thousand_bad_lines_parse_within_two_seconds():
-    lines = ["geometry platters=4 tracks=1000 sectors=8", "head 0t1p0s"]
+    lines = ["geometry platters=4 tracks=1000 sectors=8", "head 0t1p0s", "request 0t1p0s"]
     lines += [f"bad {i // 32}t{i // 8 % 4 + 1}p{i % 8}s bit={i % 2}" for i in range(10_000)]
     start = time.perf_counter()
     sc = parse_scenario("\n".join(lines))
