@@ -4,9 +4,10 @@ Subcommands: ``run`` one scheduler over a scenario, ``compare`` several
 side by side, ``gen`` a seeded random scenario file, ``oracle`` the
 exhaustive optimum, ``cases`` to dump the built-in workloads as files.
 
-Exit codes: 0 success, 1 usage errors, 2 scenario parse/bounds/value
-errors (including unreadable files), 3 oracle refusal on an oversized
-queue.
+Exit codes: 0 success, 1 usage errors, 2 bad input (a scenario's parse,
+bounds or content error, a ``gen`` or ``--savings`` value out of range, an
+unreadable file), 3 oracle refusal on an oversized queue.  Any other
+exception, a ``ValueError`` included, is a fault and propagates.
 
 The first ``main`` call builds the parser tree and later calls in the
 process share it, so callers must not change it.
@@ -19,7 +20,13 @@ import functools
 import sys
 from pathlib import Path
 
-from .geometry import DiskGeometry, render_index
+from .geometry import (
+    DiskGeometry,
+    GeometryBoundsError,
+    IndexSyntaxError,
+    ParameterError,
+    render_index,
+)
 from .metrics import energy_saved
 from .oracle import MAX_ORACLE_REQUESTS, OracleSizeError, optimal_order
 from .report import (
@@ -37,6 +44,7 @@ from .workload import (
     BUILTIN_CASE_IDS,
     GeneratorParams,
     Scenario,
+    ScenarioError,
     builtin_case,
     generate,
     parse_scenario,
@@ -220,6 +228,13 @@ def _cmd_cases(args) -> int:
     return 0
 
 
+# Bad input exits 2.  UnicodeDecodeError is a ValueError, so it is named;
+# any other ValueError is a fault in the program and propagates.
+_BAD_INPUT = (
+    ParameterError, ScenarioError, IndexSyntaxError, GeometryBoundsError, UnicodeDecodeError, OSError
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -231,7 +246,7 @@ def main(argv=None) -> int:
     except OracleSizeError as exc:
         print(f"plattersim: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         print(f"plattersim: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,10 @@ class IndexSyntaxError(ValueError):
     """Address text does not match ``<track>t<platter>p<sector>s``."""
 
 
+class ParameterError(ValueError):
+    """A caller's parameter is out of range: a disk shape, a generator setting, a read count."""
+
+
 class GeometryBoundsError(ValueError):
     """An address component falls outside the disk geometry."""
 
@@ -49,11 +53,11 @@ class DiskGeometry:
 
     def __post_init__(self):
         if self.num_platters < 1:
-            raise ValueError(f"num_platters must be >= 1, got {self.num_platters}")
+            raise ParameterError(f"num_platters must be >= 1, got {self.num_platters}")
         if self.num_tracks < 1:
-            raise ValueError(f"num_tracks must be >= 1, got {self.num_tracks}")
+            raise ParameterError(f"num_tracks must be >= 1, got {self.num_tracks}")
         if self.sectors_per_track < 1:
-            raise ValueError(
+            raise ParameterError(
                 f"sectors_per_track must be >= 1, got {self.sectors_per_track}"
             )
 

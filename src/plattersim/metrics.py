@@ -25,10 +25,11 @@ its addresses first, and ``plattersim.oracle.verify_trace`` checks those of
 any steps it is given.
 ``SchedulerRun.priced`` copies the steps of a walk's ``legs``, runs of the
 ``up`` list of ``Scenario.sweeps``, out of ``Scenario.sweep_layout``, that
-list priced once per scenario, reversing a leg read downward (the same seeks
-and transfers, each latency ``l`` turned into ``(S - l) mod S``); it prices
-only the step into each leg and the visits after the last, the whole walk
-when there are no legs.
+list priced once per scenario, reversing a leg read downward: the same seeks
+and transfers, and the latencies of ``Scenario.mirror_latencies``, each
+layout latency ``l`` turned into ``(S - l) mod S`` once per scenario.  It
+prices only the step into each leg and the visits after the last, the whole
+walk when there are no legs.
 Seek includes the edge tracks the arm passes between two visits (SCAN
 turning at the disk edge, C-SCAN's full-stroke return): only a plan's legs
 name them, and ``SchedulerRun.priced`` passes them to ``step_costs`` as
@@ -59,7 +60,7 @@ from itertools import islice, repeat
 from operator import add, attrgetter, eq, itemgetter, mod, sub
 from typing import TYPE_CHECKING, NamedTuple
 
-from .geometry import DiskGeometry, PhysicalAddress, validate, within
+from .geometry import DiskGeometry, ParameterError, PhysicalAddress, validate, within
 
 if TYPE_CHECKING:
     from .modsbsm import BadSectorEntry, DirectionDecision
@@ -247,10 +248,12 @@ class SchedulerRun:
         ``Scenario.sweeps`` that its walk reads first, each forward or
         backward, with the edge tracks the arm passes on its way into it:
         their visits and own steps are slices of ``Scenario.sweep_layout``,
-        so only the step into each non-empty leg, through its edges, and the
-        visits after the last leg are priced here; a walk without legs is
-        priced whole, without the layout.  The totals divide by the queue length, so ADAT stays TDAT
-        per request when failed probes add visits or table answers save them.
+        a backward leg's latencies of ``Scenario.mirror_latencies``, so only
+        the step into each non-empty leg, through its edges, and the visits
+        after the last leg are priced here; a walk without legs is priced
+        whole, without the layout.  The totals divide by the queue length, so
+        ADAT stays TDAT per request when failed probes add visits or table
+        answers save them.
         """
         # One step_costs call prices what is not copied: its path is the head,
         # each non-empty leg's first and last visit, then the tail.  Step 2m
@@ -270,10 +273,9 @@ class SchedulerRun:
             if forward:
                 own = slice(lo + 1, hi)  # the leg's own steps
                 leg = up[lo:hi], seeks[own], latencies[own], transfers[own]
-            else:  # the mirror walk, its own steps last first: l becomes (S - l) mod S
+            else:  # the mirror walk, its own steps last first, their latencies mirrored
                 own = slice(hi - 1, lo, -1)
-                mirrored = map(mod, map(sub, repeat(sectors), latencies[own]), repeat(sectors))
-                leg = up[lo:hi][::-1], seeks[own], mirrored, transfers[own]
+                leg = up[lo:hi][::-1], seeks[own], scenario.mirror_latencies[own], transfers[own]
             visits += leg[0]
             ends += leg[0][0], leg[0][-1]
             runs.append(leg[1:])
@@ -346,7 +348,7 @@ def energy_saved(projected_accesses: int) -> tuple[float, float]:
     avoided); acceptance criterion 8 freezes it: ``energy_saved(5) == (300.0, 3.0)``.
     """
     if projected_accesses < 2:
-        raise ValueError(
+        raise ParameterError(
             f"projected_accesses must be >= 2, got {projected_accesses}"
         )
     avoided = projected_accesses - 2

@@ -17,7 +17,10 @@ straight line between consecutive requests.  Bounds are checked here for any
 steps: a walk that visits only requested addresses is on the disk, because
 ``Scenario`` checked those, and any other walk is checked with
 ``geometry.within``.  A trace that is on the disk and equals its re-pricing
-is settled by three tuple comparisons; per-step code runs, over every step,
+is settled by three tuple comparisons: its seeks equal the direct track
+distances unless a step passes edge tracks (SCAN, C-SCAN) or detours, and
+only then, or for a list column, does a step-by-step comparison in C check
+that no seek is below its distance.  Per-step code runs, over every step,
 for any trace the column comparison does not settle.  Coverage: every
 requested address must be visited at least as often as it was requested,
 except that a bad address needs only ``min(requested, PROBE_LIMIT)`` visits,
@@ -100,7 +103,7 @@ def verify_trace(
         on_disk
         and trace.latencies == latencies
         and trace.transfers == transfers
-        and not any(map(lt, trace.seeks, min_seeks))
+        and (trace.seeks == min_seeks or not any(map(lt, trace.seeks, min_seeks)))
     )
     violations: list[str] = []
     # A step that agrees with its re-pricing adds nothing: each check below is a disagreement.

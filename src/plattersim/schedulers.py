@@ -189,13 +189,21 @@ def run_scheduler(scenario: Scenario, algorithm: str, *, use_hints: bool = False
         return modsbsm.execute(scenario)
 
     order, legs = _plan(scenario, algorithm, use_hints)
-    abandoned: tuple[int, ...] = ()
+    abandoned: list[int] = []
     if scenario.faults:
         # A plan visits each rank once, so the retry-at-tail queue is closed
         # form: the ranks on bad addresses, in plan order, fail their planned
         # visit, are retried in RETRY_LIMIT - 1 rounds at the tail in that
-        # order, and are abandoned on the last.
-        abandoned = tuple(compress(order, map(scenario.on_bad_address.__getitem__, order)))
-    return SchedulerRun.priced(
-        scenario, algorithm, order, [*order, *abandoned * (RETRY_LIMIT - 1)], legs, abandoned=abandoned
-    )
+        # order, and are abandoned on the last.  A leg's are the scenario's
+        # bad_positions between two bisects, last first for a leg read
+        # backward; only the order after the legs (all of FCFS's) is searched.
+        rest = order
+        if legs:
+            up, bad = scenario.sweeps[2], scenario.bad_positions
+            for lo, hi, forward, _ in legs:
+                at = bad[bisect_left(bad, lo) : bisect_left(bad, hi)]
+                abandoned += map(up.__getitem__, at if forward else at[::-1])
+            rest = order[sum(hi - lo for lo, hi, _, _ in legs) :]
+        abandoned += compress(rest, map(scenario.on_bad_address.__getitem__, rest))
+    walk = [*order, *abandoned * (RETRY_LIMIT - 1)]
+    return SchedulerRun.priced(scenario, algorithm, order, walk, legs, abandoned=tuple(abandoned))

@@ -41,14 +41,15 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
-from operator import attrgetter, eq, ge, gt, itemgetter, ne
+from itertools import compress, count, repeat
+from operator import attrgetter, eq, ge, gt, itemgetter, mod, ne, sub
 from typing import NamedTuple
 
 from .faults import FaultSpec
 from .geometry import (
     DiskGeometry,
     GeometryBoundsError,
+    ParameterError,
     PhysicalAddress,
     parse_index,
     render_index,
@@ -215,6 +216,28 @@ class Scenario:
         costs = step_costs(self.geometry.sectors_per_track, columns(up, self.initial_head))
         return Trace(up, *map(tuple, costs))
 
+    @cached_property
+    def mirror_latencies(self) -> tuple[int, ...]:
+        """``sweep_layout``'s latencies as the mirror walk reads them, once per scenario.
+
+        Entry ``i`` is ``(S - l) mod S`` for the layout's latency ``l`` at step
+        ``i``: the latency of the step from ``up[i]`` back to ``up[i - 1]``.  A
+        leg ``up[lo:hi]`` read backward copies its own latencies from
+        ``[hi - 1:lo:-1]``.
+        """
+        sectors = self.geometry.sectors_per_track
+        return tuple(map(mod, map(sub, repeat(sectors), self.sweep_layout.latencies), repeat(sectors)))
+
+    @cached_property
+    def bad_positions(self) -> list[int]:
+        """The ascending indices in ``sweeps``' ``up`` list of the ranks on bad addresses.
+
+        A leg ``up[lo:hi]`` holds the ones from ``bisect_left(.., lo)`` to
+        ``bisect_left(.., hi)``, so a plan of legs finds the ranks it retries
+        and abandons with two bisects per leg, not a pass over its order.
+        """
+        return list(compress(count(), map(self.on_bad_address.__getitem__, self.sweeps[2])))
+
 
 GENERATOR_ORDERS = ("ascending", "descending", "random")
 
@@ -228,13 +251,13 @@ class GeneratorParams:
 
     def __post_init__(self):
         if self.request_count < 1:
-            raise ValueError("request_count must be >= 1")
+            raise ParameterError("request_count must be >= 1")
         if self.order not in GENERATOR_ORDERS:
-            raise ValueError(f"order must be one of {GENERATOR_ORDERS}, got {self.order!r}")
+            raise ParameterError(f"order must be one of {GENERATOR_ORDERS}, got {self.order!r}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise ParameterError("seed must fit in an unsigned 64-bit integer")
         if not 0 <= self.bad_count <= self.request_count:
-            raise ValueError("bad_count must be between 0 and request_count")
+            raise ParameterError("bad_count must be between 0 and request_count")
 
 
 def _decode(geometry: DiskGeometry, address_id: int) -> PhysicalAddress:
@@ -254,7 +277,7 @@ def generate(geometry: DiskGeometry, params: GeneratorParams) -> Scenario:
     drawn from the generated requests.
     """
     if params.request_count > geometry.address_count:
-        raise ValueError(
+        raise ParameterError(
             f"request_count {params.request_count} exceeds the "
             f"{geometry.address_count} addressable sectors"
         )

@@ -207,6 +207,24 @@ def test_parse_and_bounds_errors_exit_2(tmp_path, capsys):
         assert (code, out, err) == (2, "", "plattersim: scenario has no requests\n"), argv
 
 
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin.dss"
+    latin.write_bytes(b"# caf\xe9\ngeometry platters=1 tracks=10 sectors=8\nhead 3t1p0s\nrequest 2t1p0s\n")
+    code, out, err = _run(capsys, "run", "--scenario", str(latin), "--alg", "fcfs")
+    assert (code, out) == (2, "")
+    assert err.startswith("plattersim: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_a_value_error_inside_a_command_is_a_fault_not_bad_input(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("a fault in the program")
+
+    monkeypatch.setattr(cli, "run_scheduler", broken)
+    with pytest.raises(ValueError, match="a fault in the program"):
+        main(["run", "--builtin", "2", "--alg", "look"])
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

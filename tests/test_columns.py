@@ -186,6 +186,8 @@ def _scenario(geometry, head, addresses, bad=()):
 
 
 DISK = (2, 10, 4)
+# Three groups below a head on track 5, two above it.
+_BOTH_SIDES = [(4, 1, 2), (8, 2, 3), (1, 2, 0), (3, 1, 1), (7, 1, 3), (4, 2, 0)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,6 +205,23 @@ DISK = (2, 10, 4)
 # retry tail starts where their edge waypoints lead, whichever way they go.
 @example(_scenario(DISK, (5, 1, 1), [(3, 1, 2), (8, 2, 3)], [(8, 2, 3)]))
 @example(_scenario(DISK, (5, 1, 1), [(8, 2, 3), (3, 1, 2)], [(3, 1, 2)]))
+# Bad ranks at the first and the last up index of a leg read backward: the
+# groups below the head (every sweep down, SCAN and LOOK after turning
+# there), then those above it (C-SCAN and C-LOOK down, SCAN and LOOK down
+# after turning).
+@example(_scenario(DISK, (5, 1, 1), _BOTH_SIDES, [(1, 2, 0), (4, 2, 0)]))
+@example(_scenario(DISK, (5, 1, 1), _BOTH_SIDES, [(7, 1, 3), (8, 2, 3)]))
+# SSTF turns at every visit (tracks 19, 22, 15, 29, 0 from 20): five legs,
+# a bad rank in each, one of them requested twice.
+@example(_scenario(
+    (2, 40, 4), (20, 1, 0),
+    [(22, 2, 3), (0, 1, 3), (19, 1, 1), (15, 1, 0), (29, 2, 2), (19, 2, 0), (0, 1, 3)],
+    [(19, 1, 1), (22, 2, 3), (15, 1, 0), (29, 2, 2), (0, 1, 3)],
+))
+# One bad address requested twice on the head's track, with requests on
+# both sides: its group ends the lower run (bisect_right, going down) or
+# starts the upper one (bisect_left, going up).
+@example(_scenario(DISK, (5, 1, 1), [(5, 2, 3), (2, 1, 0), (5, 1, 0), (8, 2, 1), (5, 2, 3)], [(5, 2, 3)]))
 def test_baseline_records_equal_replay_whatever_the_cache_state(scenario):
     n = len(scenario.requests)
     scenario = _sweeps_up(scenario)
@@ -214,6 +233,15 @@ def test_baseline_records_equal_replay_whatever_the_cache_state(scenario):
     rerun = {key: run_scheduler(backward, key[0], use_hints=key[1]) for key in reversed(plans)}
     up = [scenario.addresses[rank] for rank in forward.sweeps[2]]
     assert forward.sweep_layout == replay(scenario.geometry, scenario.initial_head, up)
+    # The two columns the runs copy: the mirror walk's latencies and the bad ranks' places in up.
+    sectors = scenario.geometry.sectors_per_track
+    bad = {spec.address for spec in scenario.faults}
+    for scenario_copy in (forward, backward):
+        layout = scenario_copy.sweep_layout.latencies
+        assert len(scenario_copy.mirror_latencies) == len(layout)
+        for mirrored, latency in zip(scenario_copy.mirror_latencies, layout):
+            assert mirrored == (sectors - latency) % sectors
+        assert scenario_copy.bad_positions == [i for i, a in enumerate(up) if a in bad]
     for (algorithm, use_hints), (order, via) in plans.items():
         ref_visits, _, abandoned = ref.retry_at_tail(order, scenario, FaultModel(scenario.faults))
         visits = [scenario.addresses[rank] for rank in ref_visits]
@@ -339,7 +367,7 @@ def test_walks_without_legs_leave_the_sweep_layout_unbuilt():
     for price in (lambda s: run_scheduler(s, "fcfs"), lambda s: run_scheduler(s, "modsbsm"), optimal_order):
         fresh = dataclasses.replace(scenario)
         price(fresh)
-        assert "sweep_layout" not in vars(fresh), price
+        assert not {"sweep_layout", "mirror_latencies", "bad_positions"} & vars(fresh).keys(), price
     run_scheduler(fresh, "sstf")
     assert "sweep_layout" in vars(fresh)
 
@@ -544,17 +572,15 @@ def _calls(fn, *args):
 def _clean_pass(n):
     geometry = DiskGeometry(4, 1000, 16)
     scenario = generate(geometry, GeneratorParams(request_count=n, seed=3))
-    # A fault table whose address no request touches: every visit is clean,
-    # and verify_trace still checks the fault-free scenario's permutation rule.
-    requested = {req.address for req in scenario.requests}
-    unused = next(
-        PhysicalAddress(t, 1, 0) for t in range(geometry.num_tracks)
-        if PhysicalAddress(t, 1, 0) not in requested
-    )
-    # The schedulers take the faulty path; a head on the edge track picks
-    # the same plan kind (mrsa's sweep) at every size.
+    # The first request's address is bad, and requested once at every size
+    # (generate samples without replacement): each baseline retries and
+    # abandons one rank, MODSBSM tables one entry, and verify_trace still
+    # checks the fault-free scenario's permutation rule on the replay.  A head
+    # on the edge track picks the same plan kind (mrsa's sweep) at every size.
     faulty = dataclasses.replace(
-        scenario, initial_head=PhysicalAddress(0, 1, 0), faults=(FaultSpec(unused, 1),)
+        scenario,
+        initial_head=PhysicalAddress(0, 1, 0),
+        faults=(FaultSpec(scenario.addresses[0], 1),),
     )
 
     def run(faulty):
