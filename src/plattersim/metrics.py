@@ -23,13 +23,12 @@ scheduler, MODSBSM included, and the oracle's order), checks nothing again.
 ``replay`` prices a foreign visit sequence from a start position and checks
 its addresses first, and ``plattersim.oracle.verify_trace`` checks those of
 any steps it is given.
-``SchedulerRun.priced`` copies the steps of a walk's ``legs``, runs of the
-``up`` list of ``Scenario.sweeps``, out of ``Scenario.sweep_layout``, that
-list priced once per scenario, reversing a leg read downward: the same seeks
-and transfers, and the latencies of ``Scenario.mirror_latencies``, each
-layout latency ``l`` turned into ``(S - l) mod S`` once per scenario.  It
-prices only the step into each leg and the visits after the last, the whole
-walk when there are no legs.
+``SchedulerRun.priced`` copies the steps of a walk's ``legs``, forward
+slices of the ring of ``Scenario.sweeps``, out of ``Scenario.sweep_layout``,
+that round trip priced once per scenario; a leg read moving down is a slice
+of its way back, so no direction reaches pricing.  It prices only the step
+into each leg and the visits after the last, the whole walk when there are
+no legs.
 Seek includes the edge tracks the arm passes between two visits (SCAN
 turning at the disk edge, C-SCAN's full-stroke return): only a plan's legs
 name them, and ``SchedulerRun.priced`` passes them to ``step_costs`` as
@@ -237,23 +236,22 @@ class SchedulerRun:
         algorithm: str,
         order: Iterable[int],
         walk: Sequence[int],
-        legs: Sequence[tuple[int, int, bool, Sequence[int]]] = (),
+        legs: Sequence[tuple[int, int, Sequence[int]]] = (),
         **fields,
     ) -> SchedulerRun:
         """The record of a walk over the scenario's arrival ranks, priced from its head.
 
         Pricing is ``replay``'s, with nothing checked again: ``Scenario``
         checked the head and every request address.  A plan may name
-        ``legs``, the ``(lo, hi, forward, edges)`` runs ``up[lo:hi]`` of
-        ``Scenario.sweeps`` that its walk reads first, each forward or
-        backward, with the edge tracks the arm passes on its way into it:
-        their visits and own steps are slices of ``Scenario.sweep_layout``,
-        a backward leg's latencies of ``Scenario.mirror_latencies``, so only
-        the step into each non-empty leg, through its edges, and the visits
-        after the last leg are priced here; a walk without legs is priced
-        whole, without the layout.  The totals divide by the queue length, so
-        ADAT stays TDAT per request when failed probes add visits or table
-        answers save them.
+        ``legs``, the ``(a, b, edges)`` slices ``ring[a:b]`` of
+        ``Scenario.sweeps`` that its walk reads first, each with the edge
+        tracks the arm passes on its way into it: their visits are ``[a:b]``
+        and their own steps ``[a + 1:b]`` of ``Scenario.sweep_layout``, so
+        only the step into each non-empty leg, through its edges, and the
+        visits after the last leg are priced here; a walk without legs is
+        priced whole, without the layout.  The totals divide by the queue
+        length, so ADAT stays TDAT per request when failed probes add visits
+        or table answers save them.
         """
         # One step_costs call prices what is not copied: its path is the head,
         # each non-empty leg's first and last visit, then the tail.  Step 2m
@@ -264,21 +262,16 @@ class SchedulerRun:
         ends: list[PhysicalAddress] = []
         runs = []
         waypoints: dict[int, Sequence[int]] = {}
-        for lo, hi, forward, edges in legs:
-            if lo == hi:
+        for a, b, edges in legs:
+            if a == b:
                 continue
-            up, seeks, latencies, transfers = _COLUMNS(scenario.sweep_layout)
+            ring, seeks, latencies, transfers = _COLUMNS(scenario.sweep_layout)
             if edges:
                 waypoints[len(ends)] = edges
-            if forward:
-                own = slice(lo + 1, hi)  # the leg's own steps
-                leg = up[lo:hi], seeks[own], latencies[own], transfers[own]
-            else:  # the mirror walk, its own steps last first, their latencies mirrored
-                own = slice(hi - 1, lo, -1)
-                leg = up[lo:hi][::-1], seeks[own], scenario.mirror_latencies[own], transfers[own]
-            visits += leg[0]
-            ends += leg[0][0], leg[0][-1]
-            runs.append(leg[1:])
+            own = slice(a + 1, b)  # the leg's own steps
+            visits += ring[a:b]
+            ends += ring[a], ring[b - 1]
+            runs.append((seeks[own], latencies[own], transfers[own]))
         tail = tuple(map(scenario.addresses.__getitem__, walk[len(visits) :]))
         kernel = step_costs(sectors, columns([*ends, *tail], scenario.initial_head), waypoints)
         steps = []

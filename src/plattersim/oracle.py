@@ -21,14 +21,14 @@ is settled by three tuple comparisons: its seeks equal the direct track
 distances unless a step passes edge tracks (SCAN, C-SCAN) or detours, and
 only then, or for a list column, does a step-by-step comparison in C check
 that no seek is below its distance.  Per-step code runs, over every step,
-for any trace the column comparison does not settle.  Coverage: every
-requested address must be visited at least as often as it was requested,
-except that a bad address needs only ``min(requested, PROBE_LIMIT)`` visits,
-because MODSBSM answers later requests to it from its bad-sector table.  A
-trace of a fault-free scenario with exactly one step per request must visit
-each requested address exactly as often as it was requested.  A trace that
-does so passes both rules after one dict comparison; only any other trace is
-searched for short addresses.
+for any trace the column comparison does not settle.  Totals must be the
+steps' sums over the queue length.  Coverage is exact: an address no request
+names is never visited; one requested ``r`` times is visited ``r`` times,
+or, in the fault table, from ``min(r, PROBE_LIMIT)`` (MODSBSM answers later
+requests from its table) to ``RETRY_LIMIT * r`` (a baseline's tries) times.
+A trace with every count as requested passes after one dict comparison; any
+other compares its counts off the fault table as dicts, and only if those
+differ is every address searched.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import Sequence
 from .geometry import GeometryBoundsError, validate, within
 from .metrics import AccessTotals, SchedulerRun, ServiceStep, Trace, columns, step_costs
 from .modsbsm import PROBE_LIMIT
+from .schedulers import RETRY_LIMIT
 from .workload import Scenario
 
 MAX_ORACLE_REQUESTS = 9
@@ -132,24 +133,29 @@ def verify_trace(
                 violations.append(f"totals: {name} {got} != step sum {want}")
         if run_totals.tdat != sum(sums):
             violations.append(f"totals: tdat {run_totals.tdat} != tskt+trl+tdtt {sum(sums)}")
+        n = len(scenario.requests)
+        if run_totals.request_count != n:
+            violations.append(f"totals: request_count {run_totals.request_count} != queue length {n}")
 
-    # Every address visited exactly as often as it was requested: none is
-    # short, and the trace is a permutation of the queue.  dict's own == reuses
-    # the stored hashes (Counter's is Python); counted occurrences are never
-    # zero, so it agrees with Counter's.
+    # Every address visited exactly as often as it was requested meets every
+    # rule.  dict's own == reuses the stored hashes (Counter's is Python);
+    # counted occurrences are never zero, so it agrees with Counter's.
     if dict.__eq__(visited, requested):
         return violations
     bad = {spec.address for spec in scenario.faults}
-    # Only an address visited fewer times than requested can be short: pick those in C.
-    fewer = itertools.compress(
-        requested.items(), map(lt, map(visited.__getitem__, requested), requested.values())
-    )
-    short = [
-        (address, count)
-        for address, count in fewer
-        if address not in bad or visited[address] < min(count, PROBE_LIMIT)
-    ]
-    for address, count in sorted(short):
+    # Off the fault table the counts must be equal: compare those parts as
+    # dicts in C, and search every address only when they differ.
+    off_table = [dict(visited), dict(requested)]
+    for counts, address in itertools.product(off_table, bad):
+        counts.pop(address, None)
+    suspects = bad if off_table[0] == off_table[1] else requested.keys() | visited.keys()
+    wrong = []
+    for address in suspects:
+        count = requested[address]
+        low, high = (min(count, PROBE_LIMIT), RETRY_LIMIT * count) if address in bad else (count, count)
+        if not low <= visited[address] <= high:
+            wrong.append((address, count))
+    for address, count in sorted(wrong):
         violations.append(f"coverage: {address} requested {count} times, visited {visited[address]}")
     if not bad and len(trace) == len(scenario.requests):
         violations.append("coverage: trace is not a permutation of the request queue")

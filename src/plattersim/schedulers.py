@@ -12,9 +12,10 @@ Same-track requests follow the queue convention described in
 in the arrival sequence's direction, and the arm reads a track's group
 forward when it crosses the track moving with that direction, backward
 when it crosses against it.  ``Scenario.sweeps`` lays the queue out once as
-the ``up`` list, every group read moving up, so a plan names legs, runs of
-``up`` read forward (moving up) or backward: a sweep reads two, split at
-the head track, and SSTF one per run of groups it reads the same way.
+a round trip, the ``ring``: up the track-sorted ``up`` list, then back down.
+A plan works out runs of ``up`` read moving up or down (a sweep two, split
+at the head track; SSTF one per run of groups it reads the same way), and
+``_legs_plan`` alone lays each on the ring, so a leg is a forward slice.
 A leg also names the edge tracks the arm passes on its way into it; only
 SCAN's and C-SCAN's second leg names any.  SCAN turns at the physical edge
 of the disk, and C-SCAN also rides the full-stroke return
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from . import modsbsm
 from .metrics import SchedulerRun
@@ -63,9 +64,9 @@ ALGORITHM_NAMES = BASELINE_NAMES + (PROPOSED_ALGORITHM,)
 DEFAULT_SWEEP_DIRECTION = "down"
 RETRY_LIMIT = 3  # attempts per request to a bad address before a baseline abandons it
 
-# A visit order over arrival ranks and the legs over the up list that it
-# reads first, each (lo, hi, forward, edges) (see metrics.SchedulerRun.priced).
-Leg = tuple[int, int, bool, tuple[int, ...]]
+# A visit order over arrival ranks and the legs, forward slices of the ring,
+# that it reads, each (a, b, edges) (see metrics.SchedulerRun.priced).
+Leg = tuple[int, int, tuple[int, ...]]
 Plan = tuple[list[int], tuple[Leg, ...]]
 
 
@@ -73,12 +74,14 @@ def _fcfs_plan(scenario: Scenario) -> Plan:
     return list(range(len(scenario.requests))), ()
 
 
-def _legs_plan(scenario: Scenario, legs: tuple[Leg, ...]) -> Plan:
-    """The plan that reads ``legs``, runs ``up[lo:hi]`` read forward or backward, in turn."""
-    up = scenario.sweeps[2]
+def _legs_plan(scenario: Scenario, runs: Iterable[Sequence]) -> Plan:
+    """The plan that reads ``runs``, each ``(lo, hi, moving_up, edges)``, in turn."""
+    ring = scenario.sweeps[2]
+    m = len(ring)  # 2n - 1: up[lo:hi] read moving up is ring[lo:hi], moving down ring[m - hi:m - lo]
+    legs = tuple((lo, hi, e) if rising else (m - hi, m - lo, e) for lo, hi, rising, e in runs)
     order: list[int] = []
-    for lo, hi, forward, _ in legs:
-        order += up[lo:hi] if forward else up[lo:hi][::-1]
+    for a, b, _ in legs:
+        order += ring[a:b]
     return order, legs
 
 
@@ -90,7 +93,7 @@ def _sstf_plan(scenario: Scenario) -> Plan:
     cur = scenario.initial_head.track
     right = bisect_left(tracks, cur)
     left = right - 1
-    legs: list[list] = []  # [lo, hi, forward, ()], made tuples at the end
+    runs: list[list] = []  # [lo, hi, moving_up, ()], made tuples at the end
     moving_up = scenario.queue_ascending  # zero movement counts as moving with the queue
     while left >= 0 or right < len(tracks):
         if right == len(tracks) or (left >= 0 and cur - tracks[left] <= tracks[right] - cur):
@@ -102,21 +105,21 @@ def _sstf_plan(scenario: Scenario) -> Plan:
             cur = tracks[g]
         # The served groups stay contiguous, so groups read the same way in a
         # row are adjacent runs of up: one leg.
-        if not legs or legs[-1][2] != moving_up:
-            legs.append([starts[g], starts[g + 1], moving_up, ()])
+        if not runs or runs[-1][2] != moving_up:
+            runs.append([starts[g], starts[g + 1], moving_up, ()])
         elif moving_up:
-            legs[-1][1] = starts[g + 1]
+            runs[-1][1] = starts[g + 1]
         else:
-            legs[-1][0] = starts[g]
-    return _legs_plan(scenario, tuple(map(tuple, legs)))
+            runs[-1][0] = starts[g]
+    return _legs_plan(scenario, runs)
 
 
 def _sweep_plan(scenario: Scenario, variant: str, direction: str) -> Plan:
     # Two legs split where the head track falls: the groups on the first
     # leg's side of the head, then the rest, entered through the edge ahead
     # (SCAN) or through it and the far edge (C-SCAN).
-    tracks, starts, up = scenario.sweeps
-    n = len(up)
+    tracks, starts, _ = scenario.sweeps
+    n = starts[-1]
     up_first = direction == "up"
     turns = variant in ("scan", "look")  # cscan / clook continue in the original direction
     k = starts[(bisect_left if up_first else bisect_right)(tracks, scenario.initial_head.track)]
@@ -142,9 +145,9 @@ _odsa_plan = _look_plan(lambda head, low, high: "up" if high - head < head - low
 
 
 def _mrsa_plan(scenario: Scenario) -> Plan:
-    # The median window: the two middle values of the sorted track list.
-    tracks, up = scenario.tracks, scenario.sweeps[2]
-    low, high = tracks[up[(len(up) - 1) // 2]], tracks[up[len(up) // 2]]
+    # The median window: the two middle values of the sorted track list, up = ring[:n].
+    tracks, ring, n = scenario.tracks, scenario.sweeps[2], len(scenario.requests)
+    low, high = tracks[ring[(n - 1) // 2]], tracks[ring[n // 2]]
     if low <= scenario.initial_head.track <= high:
         return _sstf_plan(scenario)
     return _odsa_plan(scenario)
@@ -176,7 +179,7 @@ def run_scheduler(scenario: Scenario, algorithm: str, *, use_hints: bool = False
 
     Baselines price their planned visits along the plan's legs, edge
     tracks included.  On a faulty scenario the retries follow the whole
-    planned order, after the legs.  ``modsbsm`` runs its own multi-pass
+    planned order.  ``modsbsm`` runs its own multi-pass
     engine, whose record is returned as it is.
 
     Only the scenario sets a sweep's direction: ``scan``, ``cscan``,
@@ -195,15 +198,13 @@ def run_scheduler(scenario: Scenario, algorithm: str, *, use_hints: bool = False
         # form: the ranks on bad addresses, in plan order, fail their planned
         # visit, are retried in RETRY_LIMIT - 1 rounds at the tail in that
         # order, and are abandoned on the last.  A leg's are the scenario's
-        # bad_positions between two bisects, last first for a leg read
-        # backward; only the order after the legs (all of FCFS's) is searched.
-        rest = order
+        # bad_positions between two bisects; a plan without legs (FCFS) is
+        # searched.  A plan with legs reads its whole order along them.
         if legs:
-            up, bad = scenario.sweeps[2], scenario.bad_positions
-            for lo, hi, forward, _ in legs:
-                at = bad[bisect_left(bad, lo) : bisect_left(bad, hi)]
-                abandoned += map(up.__getitem__, at if forward else at[::-1])
-            rest = order[sum(hi - lo for lo, hi, _, _ in legs) :]
-        abandoned += compress(rest, map(scenario.on_bad_address.__getitem__, rest))
+            ring, bad = scenario.sweeps[2], scenario.bad_positions
+            for a, b, _ in legs:
+                abandoned += map(ring.__getitem__, bad[bisect_left(bad, a) : bisect_left(bad, b)])
+        else:
+            abandoned += compress(order, map(scenario.on_bad_address.__getitem__, order))
     walk = [*order, *abandoned * (RETRY_LIMIT - 1)]
     return SchedulerRun.priced(scenario, algorithm, order, walk, legs, abandoned=tuple(abandoned))

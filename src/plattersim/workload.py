@@ -33,6 +33,9 @@ queue is a track-sorted list kept in the direction the queue arrived in.  A
 queue whose tracks never increase (and decrease at least once) sorts
 descending; anything else sorts ascending.  Schedulers read same-track groups
 forward or backward depending on which way the head crosses the track.
+``Scenario.sweeps`` lays that list out once as a round trip, up the list and
+back down it, so either reading is a forward slice; ``Scenario.sweep_layout``
+prices the way up and derives the way back, the one place that knows how.
 """
 
 from __future__ import annotations
@@ -186,11 +189,14 @@ class Scenario:
 
     @cached_property
     def sweeps(self) -> tuple[list[int], list[int], list[int]]:
-        """``(tracks, starts, up)``: the queue laid out once for every plan.
+        """``(tracks, starts, ring)``: the queue laid out once for every plan.
 
-        ``up`` lists the arrival ranks by ascending track, each group read as the
-        arm moving up reads it.  Distinct ``tracks`` ascend; group ``g`` is
-        ``up[starts[g]:starts[g + 1]]``, and ``starts[-1]`` is ``n``.
+        The ``up`` list, ``ring[:n]``, holds the arrival ranks by ascending
+        track, each group read as the arm moving up reads it.  Distinct
+        ``tracks`` ascend; group ``g`` is ``ring[starts[g]:starts[g + 1]]``, and
+        ``starts[-1]`` is ``n``.  The ring is the round trip ``up + up[-2::-1]``:
+        up the list, then back down to its first rank without repeating the top
+        one, so every leg, read moving up or down, is a forward slice of it.
         """
         # The requests' own rank objects: range would allocate one int per rank.
         ranks = list(map(attrgetter("arrival_rank"), self.requests))
@@ -200,41 +206,33 @@ class Scenario:
         up_tracks = list(map(self.tracks.__getitem__, up))
         firsts = list(map(ne, up_tracks, [None, *up_tracks]))
         starts = [*compress(range(len(up)), firsts), len(up)]
-        return list(compress(up_tracks, firsts)), starts, up
+        return list(compress(up_tracks, firsts)), starts, up + up[-2::-1]
 
     @cached_property
     def sweep_layout(self) -> Trace:
-        """The walk along ``sweeps``' ``up`` list, priced from the head once per scenario.
+        """The walk along ``sweeps``' ring, priced from the head once per scenario.
 
-        Step ``i`` visits ``up[i]``, priced from ``up[i - 1]`` (step 0 from the
-        head), so a leg ``up[lo:hi]`` visits ``[lo:hi]`` of the layout and its
-        own steps are ``[lo + 1:hi]``; a leg read backward is the mirror walk:
-        the same seeks and transfers reversed, each latency ``l`` turned into
-        ``(S - l) mod S``.
+        Step ``i`` visits ``ring[i]``, priced from ``ring[i - 1]`` (step 0 from
+        the head), so a leg ``ring[a:b]`` visits ``[a:b]`` of the layout and its
+        own steps are ``[a + 1:b]``.  Only the way up is priced; the way back is
+        its steps last first, the same seeks and transfers, each latency ``l``
+        turned into ``(S - l) mod S``, since the platter spins one way only.
         """
-        up = tuple(map(self.addresses.__getitem__, self.sweeps[2]))
-        costs = step_costs(self.geometry.sectors_per_track, columns(up, self.initial_head))
-        return Trace(up, *map(tuple, costs))
-
-    @cached_property
-    def mirror_latencies(self) -> tuple[int, ...]:
-        """``sweep_layout``'s latencies as the mirror walk reads them, once per scenario.
-
-        Entry ``i`` is ``(S - l) mod S`` for the layout's latency ``l`` at step
-        ``i``: the latency of the step from ``up[i]`` back to ``up[i - 1]``.  A
-        leg ``up[lo:hi]`` read backward copies its own latencies from
-        ``[hi - 1:lo:-1]``.
-        """
-        sectors = self.geometry.sectors_per_track
-        return tuple(map(mod, map(sub, repeat(sectors), self.sweep_layout.latencies), repeat(sectors)))
+        n, sectors = len(self.requests), self.geometry.sectors_per_track
+        up = tuple(map(self.addresses.__getitem__, self.sweeps[2][:n]))
+        seeks, latencies, transfers = map(tuple, step_costs(sectors, columns(up, self.initial_head)))
+        back = slice(n - 1, 0, -1)  # the way up's steps last first, without the one from the head
+        mirrored = tuple(map(mod, map(sub, repeat(sectors), latencies[back]), repeat(sectors)))
+        return Trace(up + up[-2::-1], seeks + seeks[back], latencies + mirrored, transfers + transfers[back])
 
     @cached_property
     def bad_positions(self) -> list[int]:
-        """The ascending indices in ``sweeps``' ``up`` list of the ranks on bad addresses.
+        """The ascending indices in ``sweeps``' ring of the ranks on bad addresses.
 
-        A leg ``up[lo:hi]`` holds the ones from ``bisect_left(.., lo)`` to
-        ``bisect_left(.., hi)``, so a plan of legs finds the ranks it retries
-        and abandons with two bisects per leg, not a pass over its order.
+        A leg ``ring[a:b]`` holds the ones from ``bisect_left(.., a)`` to
+        ``bisect_left(.., b)``, in the order it reads them, so a plan of legs
+        finds the ranks it retries and abandons with two bisects per leg, not
+        a pass over its order.
         """
         return list(compress(count(), map(self.on_bad_address.__getitem__, self.sweeps[2])))
 

@@ -129,16 +129,24 @@ def verify_trace(scenario, steps, run_totals=None):
                 violations.append(f"totals: {name} {got} != step sum {want}")
         if run_totals.tdat != sum(sums):
             violations.append(f"totals: tdat {run_totals.tdat} != tskt+trl+tdtt {sum(sums)}")
+        if run_totals.request_count != len(scenario.requests):
+            violations.append(
+                f"totals: request_count {run_totals.request_count} != queue length {len(scenario.requests)}"
+            )
 
     requested = Counter(req.address for req in scenario.requests)
     visited = Counter(step.address for step in steps)
     bad = {spec.address for spec in scenario.faults}
-    short = [
-        (address, count)
-        for address, count in requested.items()
-        if visited[address] < (min(count, PROBE_LIMIT) if address in bad else count)
-    ]
-    for address, count in sorted(short):
+    wrong = []
+    for address in set(requested) | set(visited):
+        count, seen = requested[address], visited[address]
+        if address in bad:
+            covered = min(count, PROBE_LIMIT) <= seen <= RETRY_LIMIT * count
+        else:
+            covered = seen == count
+        if not covered:
+            wrong.append((address, count))
+    for address, count in sorted(wrong):
         violations.append(f"coverage: {address} requested {count} times, visited {visited[address]}")
     if not bad and len(steps) == len(scenario.requests) and visited != requested:
         violations.append("coverage: trace is not a permutation of the request queue")

@@ -116,10 +116,10 @@ def scenarios(draw):
 def _via(legs):
     """Each non-empty leg's edges keyed by the visit position where the leg starts."""
     via, position = {}, 0
-    for lo, hi, _, edges in legs:
-        if lo < hi and edges:
+    for a, b, edges in legs:
+        if a < b and edges:
             via[position] = edges
-        position += hi - lo
+        position += b - a
     return via
 
 
@@ -231,17 +231,13 @@ def test_baseline_records_equal_replay_whatever_the_cache_state(scenario):
     forward, backward = dataclasses.replace(scenario), dataclasses.replace(scenario)
     runs = {key: run_scheduler(forward, key[0], use_hints=key[1]) for key in plans}
     rerun = {key: run_scheduler(backward, key[0], use_hints=key[1]) for key in reversed(plans)}
-    up = [scenario.addresses[rank] for rank in forward.sweeps[2]]
-    assert forward.sweep_layout == replay(scenario.geometry, scenario.initial_head, up)
-    # The two columns the runs copy: the mirror walk's latencies and the bad ranks' places in up.
-    sectors = scenario.geometry.sectors_per_track
+    # The round trip, its way back included, and the bad ranks' places on it.
+    ring = [scenario.addresses[rank] for rank in forward.sweeps[2]]
+    assert len(ring) == 2 * n - 1
     bad = {spec.address for spec in scenario.faults}
     for scenario_copy in (forward, backward):
-        layout = scenario_copy.sweep_layout.latencies
-        assert len(scenario_copy.mirror_latencies) == len(layout)
-        for mirrored, latency in zip(scenario_copy.mirror_latencies, layout):
-            assert mirrored == (sectors - latency) % sectors
-        assert scenario_copy.bad_positions == [i for i, a in enumerate(up) if a in bad]
+        assert scenario_copy.sweep_layout == replay(scenario.geometry, scenario.initial_head, ring)
+        assert scenario_copy.bad_positions == [i for i, a in enumerate(ring) if a in bad]
     for (algorithm, use_hints), (order, via) in plans.items():
         ref_visits, _, abandoned = ref.retry_at_tail(order, scenario, FaultModel(scenario.faults))
         visits = [scenario.addresses[rank] for rank in ref_visits]
@@ -351,15 +347,18 @@ def test_sstf_legs_read_the_per_group_order_in_runs_that_cannot_merge(scenario, 
     tracks = sorted(scenario.tracks)
     track = data.draw(st.integers(tracks[(len(tracks) - 1) // 2], tracks[len(tracks) // 2]))
     scenario = dataclasses.replace(scenario, initial_head=scenario.initial_head._replace(track=track))
-    up = scenario.sweeps[2]
+    ring = scenario.sweeps[2]
+    n = len(scenario.requests)
     for algorithm in ("sstf", "mrsa"):
         order, legs = _plan(scenario, algorithm, False)
-        read = [rank for lo, hi, forward, _ in legs for rank in (up[lo:hi] if forward else up[lo:hi][::-1])]
-        assert read == order == ref._sstf_plan(scenario)[0] and _via(legs) == {}, algorithm
-        assert sorted(i for lo, hi, _, _ in legs for i in range(lo, hi)) == list(range(len(up)))
-        assert all(lo < hi for lo, hi, _, _ in legs)
-        for (lo, hi, forward, _), (next_lo, next_hi, next_forward, _) in zip(legs, legs[1:]):
-            assert forward != next_forward or (next_lo != hi if forward else next_hi != lo), legs
+        assert [rank for a, b, _ in legs for rank in ring[a:b]] == order == ref._sstf_plan(scenario)[0], algorithm
+        assert _via(legs) == {} and all(a < b for a, b, _ in legs), algorithm
+        # Ring index i >= n - 1 is up position 2n - 2 - i, on the way back.
+        assert sorted(i if i < n else 2 * n - 2 - i for a, b, _ in legs for i in range(a, b)) == list(range(n))
+        # Two runs read the same way in a row would have been one leg; only
+        # where the ring turns (b == n) can a run up and the next run down meet.
+        for (_, b, _), (next_a, _, _) in zip(legs, legs[1:]):
+            assert next_a != b or b == n, legs
 
 
 def test_walks_without_legs_leave_the_sweep_layout_unbuilt():
@@ -367,7 +366,7 @@ def test_walks_without_legs_leave_the_sweep_layout_unbuilt():
     for price in (lambda s: run_scheduler(s, "fcfs"), lambda s: run_scheduler(s, "modsbsm"), optimal_order):
         fresh = dataclasses.replace(scenario)
         price(fresh)
-        assert not {"sweep_layout", "mirror_latencies", "bad_positions"} & vars(fresh).keys(), price
+        assert not {"sweep_layout", "bad_positions"} & vars(fresh).keys(), price
     run_scheduler(fresh, "sstf")
     assert "sweep_layout" in vars(fresh)
 
@@ -413,6 +412,7 @@ def test_verify_trace_lists_two_tampered_steps_around_a_rogue_address():
         "step 3: transfer 5 != re-priced 2",
         "step 3: seek 20 below track distance 160",
         "coverage: PhysicalAddress(track=60, platter=2, sector=3) requested 1 times, visited 0",
+        "coverage: PhysicalAddress(track=200, platter=2, sector=3) requested 0 times, visited 1",
         "coverage: trace is not a permutation of the request queue",
     ]
 
@@ -436,6 +436,7 @@ def test_verify_trace_lists_the_short_address_before_the_permutation_line():
         "step 2: transfer 2 != re-priced 1",
         "step 3: latency 4 != re-priced 6",
         "step 3: transfer 2 != re-priced 1",
+        "coverage: PhysicalAddress(track=52, platter=1, sector=1) requested 1 times, visited 2",
         "coverage: PhysicalAddress(track=60, platter=2, sector=3) requested 1 times, visited 0",
         "coverage: trace is not a permutation of the request queue",
     ]

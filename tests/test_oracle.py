@@ -1,11 +1,12 @@
 """Exhaustive-search oracle and trace-verification tests."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from plattersim.faults import FaultSpec
-from plattersim.geometry import DiskGeometry, PhysicalAddress
+from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.metrics import ServiceStep, replay, totals
 from plattersim.oracle import (
     MAX_ORACLE_REQUESTS,
@@ -13,8 +14,15 @@ from plattersim.oracle import (
     optimal_order,
     verify_trace,
 )
-from plattersim.schedulers import run_scheduler
-from plattersim.workload import GeneratorParams, MemoryRequest, Scenario, ScenarioError, generate
+from plattersim.schedulers import RETRY_LIMIT, run_scheduler
+from plattersim.workload import (
+    GeneratorParams,
+    MemoryRequest,
+    Scenario,
+    ScenarioError,
+    builtin_case,
+    generate,
+)
 
 
 def _scenario(head, triples, geometry=None):
@@ -144,6 +152,50 @@ def test_verify_trace_still_wants_probe_limit_visits_of_a_bad_address():
     assert verify_trace(sc, thrice) == []
 
 
+def test_verify_trace_caps_a_bad_address_at_the_baselines_tries():
+    # Requested twice, a bad address is tried RETRY_LIMIT times per request at
+    # most; a bad address no request names is never visited.
+    bad, unrequested = PhysicalAddress(52, 1, 1), PhysicalAddress(60, 1, 0)
+    sc = Scenario(
+        geometry=DiskGeometry(4, 200, 8),
+        initial_head=PhysicalAddress(50, 1, 0),
+        requests=tuple(MemoryRequest(address=bad, arrival_rank=i) for i in range(2)),
+        faults=(FaultSpec(bad, 0), FaultSpec(unrequested, 1)),
+    )
+    tries = RETRY_LIMIT * 2
+    assert verify_trace(sc, replay(sc.geometry, sc.initial_head, [bad] * tries)) == []
+    assert verify_trace(sc, replay(sc.geometry, sc.initial_head, [bad] * (tries + 1))) == [
+        f"coverage: {bad} requested 2 times, visited {tries + 1}"
+    ]
+    assert verify_trace(sc, replay(sc.geometry, sc.initial_head, [bad, unrequested, bad])) == [
+        f"coverage: {unrequested} requested 0 times, visited 1"
+    ]
+
+
+def _repriced(scenario, visits):
+    steps = replay(scenario.geometry, scenario.initial_head, visits)
+    return steps, totals(steps, len(scenario.requests))
+
+
+def test_verify_trace_refuses_visits_nobody_requested_on_case_2():
+    case = builtin_case(2)
+    fcfs = list(run_scheduler(case, "fcfs").visits)
+    detour = parse_index("199t4p7s")
+    steps, sums = _repriced(case, [*fcfs[:5], detour, *fcfs[5:]])
+    assert verify_trace(case, steps, sums) == [f"coverage: {detour} requested 0 times, visited 1"]
+    look = list(run_scheduler(case, "look", use_hints=True).visits)
+    steps, sums = _repriced(case, [look[0], *look])
+    assert verify_trace(case, steps, sums) == [f"coverage: {look[0]} requested 1 times, visited 2"]
+
+
+def test_verify_trace_checks_the_adat_divisor():
+    case = builtin_case(2)
+    run = run_scheduler(case, "look", use_hints=True)
+    short = dataclasses.replace(run.totals, request_count=7)
+    assert (run.totals.adat_text, short.adat_text) == ("15.10", "43.14")
+    assert verify_trace(case, run.steps, short) == ["totals: request_count 7 != queue length 20"]
+
+
 def test_verify_trace_reports_short_addresses_in_address_order():
     sc = _scenario(
         (50, 1, 0),
@@ -182,5 +234,6 @@ def test_verify_trace_prices_the_step_after_a_rogue_address_from_it():
         ServiceStep(PhysicalAddress(52, 1, 1), 448, 0, 1),  # priced from 500t1p1s
     ]
     problems = verify_trace(sc, trace)
-    assert len(problems) == 1
+    assert len(problems) == 2
     assert "step 1: address out of bounds" in problems[0]
+    assert problems[1] == f"coverage: {rogue} requested 0 times, visited 1"

@@ -18,7 +18,10 @@ the head on an edge track, run the same as the request-object reference
 engine.  Seek floor: on all three kinds of scenario, with their faults and
 without, no scheduler seeks less than ``reference_loops.seek_floor`` with
 its sweeps going either way, and the nearer-extreme walks meet the floor
-when no request is to a bad address.
+when no request is to a bad address.  Tampering: every scheduler's trace
+on the bad-sector scenarios, with one visit of a clean address repeated or
+dropped, an address no request names inserted, or a wrong request count,
+and re-priced, is refused by ``verify_trace`` by that address or count.
 """
 
 from dataclasses import replace
@@ -108,6 +111,36 @@ def test_bad_addresses_probed_at_most_three_times_and_traces_verify(scenario):
         assert run.totals == totals(run.steps, requests), algorithm
         assert bool(run.note) == bool(run.abandoned), algorithm
         assert verify_trace(scenario, run.steps, run.totals) == [], algorithm
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(), st.data())
+def test_a_tampered_trace_is_refused_by_address_or_count(scenario, data):
+    # Each tamper is re-priced as a genuine trace would be, so only coverage
+    # or the ADAT divisor can tell it from a run's own.
+    n = len(scenario.requests)
+    g = scenario.geometry
+    disk = product(range(g.num_tracks), range(1, g.num_platters + 1), range(g.sectors_per_track))
+    unrequested = [a for a in map(PhysicalAddress._make, disk) if a not in scenario.requested]
+    bad = {spec.address for spec in scenario.faults}
+    for algorithm in ALGORITHM_NAMES:
+        visits = list(run_scheduler(scenario, algorithm).visits)
+        tampers = []
+        clean = [k for k, a in enumerate(visits) if a not in bad]
+        if clean:
+            k = data.draw(st.sampled_from(clean))
+            a, r = visits[k], scenario.requested[visits[k]]
+            line = f"coverage: {a} requested {r} times, visited"
+            tampers.append((visits[: k + 1] + visits[k:], n, f"{line} {r + 1}"))  # repeated
+            tampers.append((visits[:k] + visits[k + 1 :], n, f"{line} {r - 1}"))  # dropped
+        if unrequested:
+            a, k = data.draw(st.sampled_from(unrequested)), data.draw(st.integers(0, len(visits)))
+            tampers.append((visits[:k] + [a] + visits[k:], n, f"coverage: {a} requested 0 times, visited 1"))
+        wrong = data.draw(st.integers(1, 2 * n + 1).filter(lambda count: count != n))
+        tampers.append((visits, wrong, f"totals: request_count {wrong} != queue length {n}"))
+        for tampered, count, message in tampers:
+            steps = replay(g, scenario.initial_head, tampered)
+            assert message in verify_trace(scenario, steps, totals(steps, count)), (algorithm, message)
 
 
 @st.composite
