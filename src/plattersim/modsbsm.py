@@ -2,10 +2,16 @@
 
 Each pass jumps to whichever extreme pending track is closer (no service on
 the way there), then sweeps once across the span servicing whole cylinders.
-A pass is one keyed sort of the pending arrival ranks: tracks follow the
+A pass reads the pending arrival ranks in cylinder order: tracks follow the
 sweep; within a track, sectors ascend either way (the platter spins one way
 only) and platters ascend within a sector.  Requests to one address keep
-their queue order.  An unreadable sector is not retried in place: its
+their queue order.  Every rank is pending in the first pass, so its
+direction and order depend only on the scenario: it reads
+``Scenario.cylinders``, the queue sorted and priced from the head once per
+scenario and direction, and its visits are the runs of that layout between
+the ranks it answers from the table.  A later pass holds only carried
+ranks, at most two per bad address, sorts those few itself, and is priced
+as the run's tail.  An unreadable sector is not retried in place: its
 request is carried to the next pass.  The bad-sector lifecycle is one count
 of probes per address, not per request: 1 means failed once, 2 tables the
 address as ``temporary``, and ``PROBE_LIMIT`` (three) fixes its prescribed
@@ -21,19 +27,18 @@ movement — if it was last moving from high to low tracks the sweep goes
 ascending, otherwise descending; with no history it goes ascending.
 Directions are spelled ``"up"``/``"down"``, as elsewhere in the package.
 The passes record the ranks they visit, and
-:meth:`plattersim.metrics.SchedulerRun.priced` prices them into the run record.
+:meth:`plattersim.metrics.SchedulerRun.priced` prices them into the run
+record, copying the first pass's steps out of its layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
-from operator import add, mul, sub
 from typing import ClassVar, Iterable
 
 from .faults import FaultModel
 from .geometry import PhysicalAddress
-from .metrics import SchedulerRun, columns
+from .metrics import SchedulerRun
 from .workload import Scenario
 
 PROBE_LIMIT = 3  # physical probes of one bad address, at most
@@ -101,57 +106,67 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     if faults.bad_addresses != bits.keys():
         raise ValueError("fault_model's bad addresses differ from the scenario's fault table")
     addresses = scenario.addresses
-    tracks, platters, sectors = columns(addresses)
-    # One int per rank orders as (±track, sector, platter) does: sector·P +
-    # platter lies in 1..S·P, one track's width.
-    g = scenario.geometry
-    within_track = list(map(add, map(mul, sectors, repeat(g.num_platters)), platters))
-    track_part = list(map(mul, tracks, repeat(g.sectors_per_track * g.num_platters)))
-    sort_keys = {
-        "up": list(map(add, within_track, track_part)),
-        "down": list(map(sub, within_track, track_part)),
-    }
     probes: dict[PhysicalAddress, int] = {}
     tabled: list[PhysicalAddress] = []
-    pending = list(range(len(addresses)))
     walk: list[int] = []  # the visited ranks
     served: list[int] = []
-    decisions: list[DirectionDecision] = []
     track = scenario.initial_head.track
     last_move: str | None = None
+    # Every rank is pending in the first pass: its direction follows from the
+    # extreme tracks, and its order is the scenario's cylinder layout.
+    decisions = [decide_direction(track, (min(scenario.tracks), max(scenario.tracks)))]
+    ordered, bad_at, layout = scenario.cylinders(decisions[0].chosen)
+    legs: list[tuple[int, int, tuple[()]]] = []  # the first pass's visits, as runs of the layout
 
-    while pending:
-        decision = decide_direction(track, map(tracks.__getitem__, pending), last_move)
-        decisions.append(decision)
-        ordered = sorted(pending, key=sort_keys[decision.chosen].__getitem__)
+    while True:
         # Only bad ranks need a decision: answered from the table, or carried.
-        answered: set[int] = set()
-        carry: list[int] = []
-        for rank in compress(ordered, map(scenario.on_bad_address.__getitem__, ordered)):
-            addr = addresses[rank]
+        answered: list[int] = []  # positions in ordered
+        carried: list[int] = []
+        for i in bad_at:
+            addr = addresses[ordered[i]]
             count = probes.get(addr, 0) + 1
             if count > PROBE_LIMIT:  # finalized: served without touching the platter
-                answered.add(rank)
+                answered.append(i)
                 continue
             probes[addr] = count
             faults.access(addr)
             if count == 2:
                 tabled.append(addr)
             if count < PROBE_LIMIT:
-                carry.append(rank)
-        visited = list(filterfalse(answered.__contains__, ordered))
-        walk.extend(visited)
-        served.extend(filterfalse(set(carry).__contains__, ordered))
+                carried.append(i)
+        visited, runs = _without(ordered, answered)
+        if len(decisions) == 1:
+            legs = [(a, b, ()) for a, b in runs]
+        walk += visited
+        served += _without(ordered, carried)[0]
         # After the jump to its start a sweep is monotone: its first and last
         # tracks give the arm's position and its last move.
-        for t in (tracks[visited[0]], tracks[visited[-1]]) if visited else ():
+        for t in (addresses[visited[0]].track, addresses[visited[-1]].track) if visited else ():
             if t != track:
                 last_move = "up" if t > track else "down"
                 track = t
-        pending = carry
+        if not carried:
+            break
+        # A later pass holds only carried ranks, at most two per bad address,
+        # in queue order per address; it sorts them as the cylinder layout is.
+        pending = list(map(ordered.__getitem__, carried))
+        decision = decide_direction(track, (addresses[rank].track for rank in pending), last_move)
+        decisions.append(decision)
+        sign = 1 if decision.chosen == "up" else -1
+        ordered = sorted(pending, key=lambda r: (sign * addresses[r].track, addresses[r].sector, addresses[r].platter))
+        bad_at = range(len(ordered))
 
     # A tabled address is carried to the next pass, whose probe finalizes it.
     table = tuple(BadSectorEntry(addr, bits[addr]) for addr in tabled)
     return SchedulerRun.priced(
-        scenario, "modsbsm", served, walk, bad_sector_table=table, decisions=tuple(decisions)
+        scenario, "modsbsm", served, walk, layout, legs, bad_sector_table=table, decisions=tuple(decisions)
     )
+
+
+def _without(ordered: list[int], cuts: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """``ordered`` without the items at the ascending positions ``cuts``, and the runs ``(a, b)`` it keeps."""
+    runs = list(zip([0, *(i + 1 for i in cuts)], [*cuts, len(ordered)]))
+    kept: list[int] = []
+    for a, b in runs:
+        kept += ordered[a:b]
+    return kept, runs

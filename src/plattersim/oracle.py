@@ -157,6 +157,4 @@ def verify_trace(
             wrong.append((address, count))
     for address, count in sorted(wrong):
         violations.append(f"coverage: {address} requested {count} times, visited {visited[address]}")
-    if not bad and len(trace) == len(scenario.requests):
-        violations.append("coverage: trace is not a permutation of the request queue")
     return violations

@@ -207,4 +207,5 @@ def run_scheduler(scenario: Scenario, algorithm: str, *, use_hints: bool = False
         else:
             abandoned += compress(order, map(scenario.on_bad_address.__getitem__, order))
     walk = [*order, *abandoned * (RETRY_LIMIT - 1)]
-    return SchedulerRun.priced(scenario, algorithm, order, walk, legs, abandoned=tuple(abandoned))
+    layout = scenario.sweep_layout if legs else None
+    return SchedulerRun.priced(scenario, algorithm, order, walk, layout, legs, abandoned=tuple(abandoned))

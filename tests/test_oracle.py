@@ -131,7 +131,7 @@ def test_verify_trace_flags_missing_and_foreign_visits():
     foreign = replay(sc.geometry, sc.initial_head,
                      [PhysicalAddress(52, 1, 1), PhysicalAddress(1, 1, 1)])
     problems = verify_trace(sc, foreign)
-    assert any("not a permutation" in p for p in problems)
+    assert "coverage: PhysicalAddress(track=1, platter=1, sector=1) requested 0 times, visited 1" in problems
 
 
 def test_verify_trace_still_wants_probe_limit_visits_of_a_bad_address():

@@ -15,7 +15,8 @@ geometry line sits.  Content checks: scenario parts with ops, ranks and
 bits in and out of range, and queues empty or not, either fail at their
 first bad entry or round-trip through their text.  MODSBSM: the bad-sector scenarios, and the same with
 the head on an edge track, run the same as the request-object reference
-engine.  Seek floor: on all three kinds of scenario, with their faults and
+engine, fresh, warm and after every baseline; two fixed scenarios send the
+first pass up and down past a bad address requested four times.  Seek floor: on all three kinds of scenario, with their faults and
 without, no scheduler seeks less than ``reference_loops.seek_floor`` with
 its sweeps going either way, and the nearer-extreme walks meet the floor
 when no request is to a bad address.  Tampering: every scheduler's trace
@@ -28,7 +29,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_loops as ref
 from plattersim.faults import FaultModel, FaultSpec
@@ -36,7 +37,7 @@ from plattersim.geometry import DiskGeometry, PhysicalAddress, render_index
 from plattersim.metrics import replay, totals
 from plattersim.modsbsm import PROBE_LIMIT, execute
 from plattersim.oracle import verify_trace
-from plattersim.schedulers import ALGORITHM_NAMES, run_scheduler
+from plattersim.schedulers import ALGORITHM_NAMES, BASELINE_NAMES, run_scheduler
 from plattersim.workload import (
     DIRECTION_HINT_NAMES,
     DIRECTIONS,
@@ -150,20 +151,42 @@ def edge_head_scenarios(draw):
     return replace(scenario, initial_head=scenario.initial_head._replace(track=edge))
 
 
+def _four_bad_requests(head_track):
+    """A bad address requested four times between clean ones: the first pass answers one from its table."""
+    bad = PhysicalAddress(5, 1, 3)
+    picks = [(2, 1, 0), bad, (9, 2, 5), bad, (11, 1, 1), bad, (5, 2, 3), bad, (2, 2, 7)]
+    return Scenario(
+        geometry=DiskGeometry(2, 12, 8),
+        initial_head=PhysicalAddress(head_track, 2, 6),
+        requests=tuple(MemoryRequest(PhysicalAddress(*a), "r", i) for i, a in enumerate(picks)),
+        faults=(FaultSpec(bad, 1),),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(scenarios(), edge_head_scenarios()))
+@example(_four_bad_requests(1))  # the first pass goes up
+@example(_four_bad_requests(11))  # and down
 def test_execute_matches_the_request_object_reference(scenario):
-    fault_model, ref_faults = FaultModel(scenario.faults), FaultModel(scenario.faults)
-    result = execute(scenario, fault_model)
+    ref_faults = FaultModel(scenario.faults)
     order, visits, steps, decisions, entries = ref.modsbsm_execute(scenario, ref_faults)
-    assert list(result.order) == order
-    assert list(result.visits) == visits
-    assert list(result.steps) == steps
-    assert result.totals == totals(steps, len(scenario.requests))
-    assert list(result.decisions) == decisions
-    assert [(e.index, e.prescribed_bit, e.finalized) for e in result.bad_sector_table] == entries
     bad = [spec.address for spec in scenario.faults]
-    assert list(map(fault_model.probe_count, bad)) == list(map(ref_faults.probe_count, bad))
+    # Twice on one scenario, the second run reading the cylinder layout the
+    # first built, then once more after every baseline has run on it.
+    for others in ((), (), BASELINE_NAMES):
+        for algorithm in others:
+            run_scheduler(scenario, algorithm)
+        fault_model = FaultModel(scenario.faults)
+        result = execute(scenario, fault_model)
+        assert list(result.order) == order
+        assert list(result.visits) == visits
+        assert list(result.steps) == steps
+        assert result.totals == totals(steps, len(scenario.requests))
+        assert list(result.decisions) == decisions
+        assert [(e.index, e.prescribed_bit, e.finalized) for e in result.bad_sector_table] == entries
+        assert list(map(fault_model.probe_count, bad)) == list(map(ref_faults.probe_count, bad))
+    # Only the first pass's direction is laid out.
+    assert vars(scenario)["_cylinders"].keys() == {decisions[0].chosen}
 
 
 def _sstf_reference(scenario):
