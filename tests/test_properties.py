@@ -16,8 +16,9 @@ bits in and out of range, and queues empty or not, either fail at their
 first bad entry or round-trip through their text.  MODSBSM: the bad-sector scenarios, and the same with
 the head on an edge track, run the same as the request-object reference
 engine, fresh, warm and after every baseline; two fixed scenarios send the
-first pass up and down past a bad address requested four times.  Seek floor: on all three kinds of scenario, with their faults and
-without, no scheduler seeks less than ``reference_loops.seek_floor`` with
+first pass up and down past a bad address requested four times.  Seek
+floor: on all three kinds of scenario, with their faults and without, no
+scheduler seeks less than ``reference_loops.seek_floor`` with
 its sweeps going either way, and the nearer-extreme walks meet the floor
 when no request is to a bad address.  Tampering: every scheduler's trace
 on the bad-sector scenarios, with one visit of a clean address repeated or
