@@ -23,13 +23,12 @@ scheduler, MODSBSM included, and the oracle's order), checks nothing again.
 ``replay`` prices a foreign visit sequence from a start position and checks
 its addresses first, and ``plattersim.oracle.verify_trace`` checks those of
 any steps it is given.
-``SchedulerRun.priced`` copies the steps of a walk's ``legs`` out of a
-layout, a walk the scenario priced once: a baseline's legs are forward
-slices of ``Scenario.sweep_layout``, the round trip of ``Scenario.sweeps``
-(a leg read moving down is a slice of its way back, so no direction reaches
-pricing), and MODSBSM's first pass reads runs of ``Scenario.cylinders``'
-layout.  It prices only the step into each leg and the visits after the
-last, the whole walk when there are no legs.
+``SchedulerRun.priced`` copies the steps of a walk's ``legs``, forward
+slices of the ring of ``Scenario.sweeps``, out of ``Scenario.sweep_layout``,
+that round trip priced once per scenario; a leg read moving down is a slice
+of its way back, so no direction reaches pricing.  It prices only the step
+into each leg and the visits after the last, the whole walk when there are
+no legs.
 Seek includes the edge tracks the arm passes between two visits (SCAN
 turning at the disk edge, C-SCAN's full-stroke return): only a plan's legs
 name them, and ``SchedulerRun.priced`` passes them to ``step_costs`` as
@@ -237,24 +236,22 @@ class SchedulerRun:
         algorithm: str,
         order: Iterable[int],
         walk: Sequence[int],
-        layout: Trace | None = None,
         legs: Sequence[tuple[int, int, Sequence[int]]] = (),
         **fields,
     ) -> SchedulerRun:
         """The record of a walk over the scenario's arrival ranks, priced from its head.
 
         Pricing is ``replay``'s, with nothing checked again: ``Scenario``
-        checked the head and every request address.  A walk may read
-        ``legs`` of a ``layout`` first, a walk the scenario priced from its
-        head once: ``Scenario.sweep_layout`` for a baseline's plan,
-        ``Scenario.cylinders``' for MODSBSM's first pass.  Each leg
-        ``(a, b, edges)`` visits ``[a:b]`` of the layout, with ``edges`` the
-        tracks the arm passes on its way into it, and its own steps are
-        ``[a + 1:b]`` of the layout, so only the step into each non-empty
-        leg, through its edges, and the visits after the last leg are priced
-        here; a walk without legs is priced whole.  The totals divide by the
-        queue length, so ADAT stays TDAT per request when failed probes add
-        visits or table answers save them.
+        checked the head and every request address.  A plan may name
+        ``legs``, the ``(a, b, edges)`` slices ``ring[a:b]`` of
+        ``Scenario.sweeps`` that its walk reads first, each with the edge
+        tracks the arm passes on its way into it: their visits are ``[a:b]``
+        and their own steps ``[a + 1:b]`` of ``Scenario.sweep_layout``, so
+        only the step into each non-empty leg, through its edges, and the
+        visits after the last leg are priced here; a walk without legs is
+        priced whole, without the layout.  The totals divide by the queue
+        length, so ADAT stays TDAT per request when failed probes add visits
+        or table answers save them.
         """
         # One step_costs call prices what is not copied: its path is the head,
         # each non-empty leg's first and last visit, then the tail.  Step 2m
@@ -268,7 +265,7 @@ class SchedulerRun:
         for a, b, edges in legs:
             if a == b:
                 continue
-            ring, seeks, latencies, transfers = _COLUMNS(layout)
+            ring, seeks, latencies, transfers = _COLUMNS(scenario.sweep_layout)
             if edges:
                 waypoints[len(ends)] = edges
             own = slice(a + 1, b)  # the leg's own steps

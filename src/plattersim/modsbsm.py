@@ -2,23 +2,21 @@
 
 Each pass jumps to whichever extreme pending track is closer (no service on
 the way there), then sweeps once across the span servicing whole cylinders.
-A pass reads the pending arrival ranks in cylinder order: tracks follow the
-sweep; within a track, sectors ascend either way (the platter spins one way
-only) and platters ascend within a sector.  Requests to one address keep
-their queue order.  Every rank is pending in the first pass, so its
-direction and order depend only on the scenario: it reads
-``Scenario.cylinders``, the queue sorted and priced from the head once per
-scenario and direction, and its visits are the runs of that layout between
-the ranks it answers from the table.  A later pass holds only carried
-ranks, at most two per bad address, sorts those few itself, and is priced
-as the run's tail.  An unreadable sector is not retried in place: its
-request is carried to the next pass.  The bad-sector lifecycle is one count
-of probes per address, not per request: 1 means failed once, 2 tables the
-address as ``temporary``, and ``PROBE_LIMIT`` (three) fixes its prescribed
-bit and finalizes it as ``permanent``; ``temporary`` lasts only until
-then, so every table entry of a finished run is final.  Every later
-request to it is answered from the table without touching the platter;
-when the queue repeats an address, all three probes can fall in one pass.
+A pass sorts the pending arrival ranks into cylinder order: tracks follow
+the sweep; within a track, sectors ascend either way (the platter spins
+one way only) and platters ascend within a sector.  Requests to one
+address keep their queue order.  Every rank is pending in the first pass,
+so it keys the whole queue once, for the one direction it goes, and then
+decides only the ranks on bad addresses; a later pass holds only carried
+ranks, at most two per bad address, and sorts those few on the same key.
+An unreadable sector is not retried in place: its request is carried to
+the next pass.  The bad-sector lifecycle is one count of probes per
+address, not per request: 1 means failed once, 2 tables the address as
+``temporary``, and ``PROBE_LIMIT`` (three) fixes its prescribed bit and
+finalizes it as ``permanent``; ``temporary`` lasts only until then, so
+every table entry of a finished run is final.  Every later request to it
+is answered from the table without touching the platter; when the queue
+repeats an address, all three probes can fall in one pass.
 
 Direction choice per pass: with LD = head − min(track) and RD =
 max(track) − head (both signed), LD < RD picks the ascending sweep and
@@ -27,17 +25,18 @@ movement — if it was last moving from high to low tracks the sweep goes
 ascending, otherwise descending; with no history it goes ascending.
 Directions are spelled ``"up"``/``"down"``, as elsewhere in the package.
 The passes record the ranks they visit, and
-:meth:`plattersim.metrics.SchedulerRun.priced` prices them into the run
-record, copying the first pass's steps out of its layout.
+:meth:`plattersim.metrics.SchedulerRun.priced` prices them into the run record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from itertools import compress, count, repeat
+from operator import add, itemgetter, mul
+from typing import ClassVar, Iterable, Sequence
 
 from .faults import FaultModel
-from .geometry import PhysicalAddress
+from .geometry import DiskGeometry, PhysicalAddress
 from .metrics import SchedulerRun
 from .workload import Scenario
 
@@ -112,33 +111,30 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
     served: list[int] = []
     track = scenario.initial_head.track
     last_move: str | None = None
-    # Every rank is pending in the first pass: its direction follows from the
-    # extreme tracks, and its order is the scenario's cylinder layout.
-    decisions = [decide_direction(track, (min(scenario.tracks), max(scenario.tracks)))]
-    ordered, bad_at, layout = scenario.cylinders(decisions[0].chosen)
-    legs: list[tuple[int, int, tuple[()]]] = []  # the first pass's visits, as runs of the layout
+    # Every rank is pending in the first pass, so the queue's tracks give its
+    # direction, and its positions in the queue are the ranks themselves.
+    decisions = [decide_direction(track, scenario.tracks)]
+    ordered = _sweep_order(scenario.geometry, addresses, scenario.tracks, decisions[0].chosen)
 
     while True:
         # Only bad ranks need a decision: answered from the table, or carried.
         answered: list[int] = []  # positions in ordered
         carried: list[int] = []
-        for i in bad_at:
+        for i in compress(count(), map(scenario.on_bad_address.__getitem__, ordered)):
             addr = addresses[ordered[i]]
-            count = probes.get(addr, 0) + 1
-            if count > PROBE_LIMIT:  # finalized: served without touching the platter
+            probe = probes.get(addr, 0) + 1
+            if probe > PROBE_LIMIT:  # finalized: served without touching the platter
                 answered.append(i)
                 continue
-            probes[addr] = count
+            probes[addr] = probe
             faults.access(addr)
-            if count == 2:
+            if probe == 2:
                 tabled.append(addr)
-            if count < PROBE_LIMIT:
+            if probe < PROBE_LIMIT:
                 carried.append(i)
-        visited, runs = _without(ordered, answered)
-        if len(decisions) == 1:
-            legs = [(a, b, ()) for a, b in runs]
+        visited = _without(ordered, answered)
         walk += visited
-        served += _without(ordered, carried)[0]
+        served += _without(ordered, carried)
         # After the jump to its start a sweep is monotone: its first and last
         # tracks give the arm's position and its last move.
         for t in (addresses[visited[0]].track, addresses[visited[-1]].track) if visited else ():
@@ -147,26 +143,41 @@ def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> Schedu
                 track = t
         if not carried:
             break
-        # A later pass holds only carried ranks, at most two per bad address,
-        # in queue order per address; it sorts them as the cylinder layout is.
+        # A later pass holds only the carried ranks, at most two per bad address.
         pending = list(map(ordered.__getitem__, carried))
-        decision = decide_direction(track, (addresses[rank].track for rank in pending), last_move)
-        decisions.append(decision)
-        sign = 1 if decision.chosen == "up" else -1
-        ordered = sorted(pending, key=lambda r: (sign * addresses[r].track, addresses[r].sector, addresses[r].platter))
-        bad_at = range(len(ordered))
+        at = list(map(addresses.__getitem__, pending))
+        tracks = list(map(itemgetter(0), at))
+        decisions.append(decide_direction(track, tracks, last_move))
+        positions = _sweep_order(scenario.geometry, at, tracks, decisions[-1].chosen)
+        ordered = list(map(pending.__getitem__, positions))
 
     # A tabled address is carried to the next pass, whose probe finalizes it.
     table = tuple(BadSectorEntry(addr, bits[addr]) for addr in tabled)
     return SchedulerRun.priced(
-        scenario, "modsbsm", served, walk, layout, legs, bad_sector_table=table, decisions=tuple(decisions)
+        scenario, "modsbsm", served, walk, bad_sector_table=table, decisions=tuple(decisions)
     )
 
 
-def _without(ordered: list[int], cuts: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """``ordered`` without the items at the ascending positions ``cuts``, and the runs ``(a, b)`` it keeps."""
-    runs = list(zip([0, *(i + 1 for i in cuts)], [*cuts, len(ordered)]))
+def _sweep_order(
+    geometry: DiskGeometry, at: Sequence[PhysicalAddress], tracks: Sequence[int], direction: str
+) -> list[int]:
+    """The positions of the addresses ``at``, on ``tracks``, as one sweep moving ``direction`` reads them.
+
+    Tracks follow the sweep; within a track, sectors ascend, then platters.
+    The sort is stable, so one address's positions keep their order.
+    """
+    # One int per address orders as (±track, sector, platter) does: sector·P +
+    # platter lies in 1..S·P, one track's width.
+    platters = geometry.num_platters
+    width = geometry.sectors_per_track * platters * (1 if direction == "up" else -1)
+    within_track = map(add, map(mul, map(itemgetter(2), at), repeat(platters)), map(itemgetter(1), at))
+    keys = list(map(add, map(mul, tracks, repeat(width)), within_track))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _without(ordered: list[int], cuts: list[int]) -> list[int]:
+    """``ordered`` without the items at the ascending positions ``cuts``."""
     kept: list[int] = []
-    for a, b in runs:
+    for a, b in zip([0, *(i + 1 for i in cuts)], [*cuts, len(ordered)]):
         kept += ordered[a:b]
-    return kept, runs
+    return kept

@@ -207,5 +207,4 @@ def run_scheduler(scenario: Scenario, algorithm: str, *, use_hints: bool = False
         else:
             abandoned += compress(order, map(scenario.on_bad_address.__getitem__, order))
     walk = [*order, *abandoned * (RETRY_LIMIT - 1)]
-    layout = scenario.sweep_layout if legs else None
-    return SchedulerRun.priced(scenario, algorithm, order, walk, layout, legs, abandoned=tuple(abandoned))
+    return SchedulerRun.priced(scenario, algorithm, order, walk, legs, abandoned=tuple(abandoned))

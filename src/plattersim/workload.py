@@ -36,9 +36,6 @@ forward or backward depending on which way the head crosses the track.
 ``Scenario.sweeps`` lays that list out once as a round trip, up the list and
 back down it, so either reading is a forward slice; ``Scenario.sweep_layout``
 prices the way up and derives the way back, the one place that knows how.
-MODSBSM reads cylinders instead: ``Scenario.cylinders`` sorts the queue by
-track one way, then sector, then platter, and prices that walk from the head,
-once per scenario for each direction a first pass takes.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, repeat
-from operator import add, attrgetter, eq, ge, gt, itemgetter, mod, mul, ne, sub
+from operator import attrgetter, eq, ge, gt, itemgetter, mod, ne, sub
 from typing import NamedTuple
 
 from .faults import FaultSpec
@@ -211,12 +208,6 @@ class Scenario:
         starts = [*compress(range(len(up)), firsts), len(up)]
         return list(compress(up_tracks, firsts)), starts, up + up[-2::-1]
 
-    def _walk(self, ranks: list[int]) -> tuple[tuple, ...]:
-        """The walk over ``ranks`` from the head as Trace columns: step ``i`` priced from ``ranks[i - 1]``."""
-        visits = tuple(map(self.addresses.__getitem__, ranks))
-        costs = step_costs(self.geometry.sectors_per_track, columns(visits, self.initial_head))
-        return (visits, *map(tuple, costs))
-
     @cached_property
     def sweep_layout(self) -> Trace:
         """The walk along ``sweeps``' ring, priced from the head once per scenario.
@@ -228,40 +219,11 @@ class Scenario:
         turned into ``(S - l) mod S``, since the platter spins one way only.
         """
         n, sectors = len(self.requests), self.geometry.sectors_per_track
-        up, seeks, latencies, transfers = self._walk(self.sweeps[2][:n])
+        up = tuple(map(self.addresses.__getitem__, self.sweeps[2][:n]))
+        seeks, latencies, transfers = map(tuple, step_costs(sectors, columns(up, self.initial_head)))
         back = slice(n - 1, 0, -1)  # the way up's steps last first, without the one from the head
         mirrored = tuple(map(mod, map(sub, repeat(sectors), latencies[back]), repeat(sectors)))
         return Trace(up + up[-2::-1], seeks + seeks[back], latencies + mirrored, transfers + transfers[back])
-
-    @cached_property
-    def _cylinders(self) -> dict[str, tuple[list[int], list[int], Trace]]:
-        return {}
-
-    def cylinders(self, direction: str) -> tuple[list[int], list[int], Trace]:
-        """``(order, bad, layout)``: the queue read in one cylinder sweep moving ``direction``.
-
-        ``order`` holds every arrival rank by track (ascending ``up``,
-        descending ``down``), then sector, then platter, with requests to one
-        address in queue order; ``bad`` holds the ascending indices in it of
-        the ranks on bad addresses, and ``layout`` is the walk along it priced
-        from the head, indexed as ``sweep_layout`` is: a leg ``order[a:b]``
-        visits ``[a:b]`` of it, and its own steps are ``[a + 1:b]``.  Each
-        direction is built on first use and kept.
-        """
-        built = self._cylinders.get(direction)
-        if built is None:
-            g = self.geometry
-            # One int per rank orders as (±track, sector, platter) does:
-            # sector·P + platter lies in 1..S·P, one track's width.
-            width = g.sectors_per_track * g.num_platters * (1 if direction == "up" else -1)
-            sectors = map(mul, map(itemgetter(2), self.addresses), repeat(g.num_platters))
-            within_track = map(add, sectors, map(itemgetter(1), self.addresses))
-            keys = list(map(add, within_track, map(mul, self.tracks, repeat(width))))
-            # The requests' own rank objects, as in sweeps; a stable sort keeps queue order.
-            order = sorted(map(attrgetter("arrival_rank"), self.requests), key=keys.__getitem__)
-            bad = list(compress(count(), map(self.on_bad_address.__getitem__, order)))
-            built = self._cylinders[direction] = order, bad, Trace(*self._walk(order))
-        return built
 
     @cached_property
     def bad_positions(self) -> list[int]:
