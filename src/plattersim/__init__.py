@@ -8,7 +8,6 @@ exhaustive-search oracle, a seeded workload generator, six built-in
 workloads with bundled reference totals, and a CLI (``plattersim``).
 """
 
-from .faults import FaultModel, FaultSpec
 from .geometry import (
     DiskGeometry,
     GeometryBoundsError,
@@ -31,6 +30,7 @@ from .metrics import (
 from .modsbsm import (
     BadSectorEntry,
     DirectionDecision,
+    FaultModel,
     decide_direction,
     execute,
 )
@@ -58,6 +58,7 @@ from .schedulers import (
 )
 from .workload import (
     BUILTIN_CASE_IDS,
+    FaultSpec,
     GeneratorParams,
     MemoryRequest,
     Scenario,

@@ -33,14 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import add, itemgetter, mul
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, KeysView, Sequence
 
-from .faults import FaultModel
-from .geometry import DiskGeometry, PhysicalAddress
+from .geometry import DiskGeometry, PhysicalAddress, render_index
 from .metrics import SchedulerRun
-from .workload import Scenario
+from .workload import FaultSpec, Scenario
 
-PROBE_LIMIT = 3  # physical probes of one bad address, at most
+PROBE_LIMIT = 3  # physical probes of each requested bad address
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,30 @@ class BadSectorEntry:
     bsi: ClassVar[int] = 2
     finalized: ClassVar[int] = 1
     classification: ClassVar[str] = "permanent"
+
+
+class FaultModel:
+    """A fault table's addresses, each with a count of its physical probes."""
+
+    def __init__(self, table: Iterable[FaultSpec] = ()):
+        self._probes: dict[PhysicalAddress, int] = {}
+        for spec in table:
+            if spec.address in self._probes:
+                raise ValueError(f"duplicate fault entry for {render_index(spec.address)}")
+            self._probes[spec.address] = 0
+
+    @property
+    def bad_addresses(self) -> KeysView[PhysicalAddress]:
+        """Read-only view of the table's addresses; probing them is :meth:`access`."""
+        return self._probes.keys()
+
+    def access(self, address: PhysicalAddress) -> None:
+        """Physically probe an address; bad addresses count every probe."""
+        if address in self._probes:
+            self._probes[address] += 1
+
+    def probe_count(self, address: PhysicalAddress) -> int:
+        return self._probes.get(address, 0)
 
 
 def execute(scenario: Scenario, fault_model: FaultModel | None = None) -> SchedulerRun:

@@ -24,11 +24,11 @@ that no seek is below its distance.  Per-step code runs, over every step,
 for any trace the column comparison does not settle.  Totals must be the
 steps' sums over the queue length.  Coverage is exact: an address no request
 names is never visited; one requested ``r`` times is visited ``r`` times,
-or, in the fault table, from ``min(r, PROBE_LIMIT)`` (MODSBSM answers later
-requests from its table) to ``RETRY_LIMIT * r`` (a baseline's tries) times.
-A trace with every count as requested passes after one dict comparison; any
-other compares its counts off the fault table as dicts, and only if those
-differ is every address searched.
+or, in the fault table, also exactly ``PROBE_LIMIT`` times (MODSBSM's probes;
+it answers the other requests from its table) or ``RETRY_LIMIT * r`` times
+(a baseline's tries).  A trace with every count as requested passes after
+one dict comparison; any other compares its counts off the fault table as
+dicts, and only if those differ is every address searched.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def verify_trace(
     wrong = []
     for address in suspects:
         count = requested[address]
-        low, high = (min(count, PROBE_LIMIT), RETRY_LIMIT * count) if address in bad else (count, count)
-        if not low <= visited[address] <= high:
+        allowed = (count, PROBE_LIMIT, RETRY_LIMIT * count) if address in bad and count else (count,)
+        if visited[address] not in allowed:
             wrong.append((address, count))
     for address, count in sorted(wrong):
         violations.append(f"coverage: {address} requested {count} times, visited {visited[address]}")

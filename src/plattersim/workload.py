@@ -48,7 +48,6 @@ from itertools import compress, count, repeat
 from operator import attrgetter, eq, ge, gt, itemgetter, mod, ne, sub
 from typing import NamedTuple
 
-from .faults import FaultSpec
 from .geometry import (
     DiskGeometry,
     GeometryBoundsError,
@@ -88,6 +87,17 @@ class MemoryRequest(NamedTuple):
     address: PhysicalAddress
     op: str = "r"
     arrival_rank: int = 0
+
+
+class FaultSpec(NamedTuple):
+    """One permanently unreadable sector and the bit value it holds.
+
+    A plain named tuple, checked only as part of a :class:`Scenario`;
+    MODSBSM prescribes its bit.
+    """
+
+    address: PhysicalAddress
+    true_bit: int
 
 
 def _check_bounds(

@@ -25,7 +25,6 @@ from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
-from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import (
     DiskGeometry,
     GeometryBoundsError,
@@ -34,10 +33,11 @@ from plattersim.geometry import (
     validate,
 )
 from plattersim.metrics import ServiceStep
-from plattersim.modsbsm import PROBE_LIMIT, decide_direction
+from plattersim.modsbsm import PROBE_LIMIT, FaultModel, decide_direction
 from plattersim.schedulers import RETRY_LIMIT
 from plattersim.workload import (
     OPS,
+    FaultSpec,
     MemoryRequest,
     Scenario,
     ScenarioError,
@@ -140,8 +140,8 @@ def verify_trace(scenario, steps, run_totals=None):
     wrong = []
     for address in set(requested) | set(visited):
         count, seen = requested[address], visited[address]
-        if address in bad:
-            covered = min(count, PROBE_LIMIT) <= seen <= RETRY_LIMIT * count
+        if address in bad and count:
+            covered = seen in (count, PROBE_LIMIT, RETRY_LIMIT * count)
         else:
             covered = seen == count
         if not covered:
@@ -191,18 +191,19 @@ class MutableEntry:
     finalized: int
 
 
-def bsm(entry, faults):
-    """Probe a tabled, unfinalized address a last time and finalize it."""
+def bsm(entry, faults, bits):
+    """Probe a tabled, unfinalized address a last time and finalize it with its scenario bit."""
     if entry.finalized:
         return
     faults.access(entry.index)
-    entry.prescribed_bit = faults.true_bit(entry.index)
+    entry.prescribed_bit = bits[entry.index]
     entry.finalized = 1
 
 
 def modsbsm_execute(scenario, faults=None):
     """(order, visits, steps, decisions, table entries as (index, bit, finalized))."""
     faults = faults if faults is not None else FaultModel(scenario.faults)
+    bits = dict(scenario.faults)
     pos = scenario.initial_head
     pending = list(scenario.requests)
     failed_once = set()
@@ -227,7 +228,7 @@ def modsbsm_execute(scenario, faults=None):
                 last_move = "up" if addr.track > pos.track else "down"
             pos = addr
             if entry is not None:
-                bsm(entry, faults)
+                bsm(entry, faults, bits)
             else:
                 faults.access(addr)
                 if addr in faults.bad_addresses:

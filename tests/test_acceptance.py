@@ -9,14 +9,13 @@ numbers were derived from the cost model by hand before implementation.
 import dataclasses
 import time
 
-from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import parse_index
 from plattersim.metrics import energy_saved, step_costs
-from plattersim.modsbsm import execute
+from plattersim.modsbsm import FaultModel, execute
 from plattersim.oracle import optimal_order, verify_trace
 from plattersim.report import compare_builtin_suite, compare_scenario
 from plattersim.schedulers import ALGORITHM_NAMES, SWEEP_NAMES, run_scheduler
-from plattersim.workload import GeneratorParams, builtin_case, generate
+from plattersim.workload import FaultSpec, GeneratorParams, builtin_case, generate
 from plattersim.geometry import DiskGeometry
 
 
@@ -208,7 +207,7 @@ def test_criterion_8_bad_sector_lifecycle():
         assert entry.bsi == 2
         assert entry.finalized == 1
         assert entry.classification == "permanent"
-        assert entry.prescribed_bit == fault_model.true_bit(bad)
+        assert entry.prescribed_bit == dict(faulty.faults)[bad]
         assert result.resolved == (bad,)
         assert energy_saved(5) == (300.0, 3.0)
         # a fourth read would be answered from the table: same scenario with

@@ -8,9 +8,8 @@ import pytest
 
 from plattersim import cli
 from plattersim.cli import main
-from plattersim.faults import FaultSpec
 from plattersim.geometry import render_index
-from plattersim.workload import builtin_case, parse_scenario, render_scenario
+from plattersim.workload import FaultSpec, builtin_case, parse_scenario, render_scenario
 
 
 def _run(capsys, *argv):

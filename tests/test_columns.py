@@ -33,9 +33,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_loops as ref
-from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, GeometryBoundsError, PhysicalAddress
 from plattersim.metrics import SchedulerRun, ServiceStep, Trace, replay, totals
+from plattersim.modsbsm import FaultModel
 from plattersim.oracle import optimal_order, verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
@@ -46,6 +46,7 @@ from plattersim.schedulers import (
 )
 from plattersim.workload import (
     OPS,
+    FaultSpec,
     GeneratorParams,
     MemoryRequest,
     Scenario,

@@ -1,7 +1,8 @@
 import pytest
 
-from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import PhysicalAddress
+from plattersim.modsbsm import FaultModel
+from plattersim.workload import FaultSpec
 
 
 def test_fault_model_counts_probes_of_bad_addresses():
@@ -13,7 +14,6 @@ def test_fault_model_counts_probes_of_bad_addresses():
     for expected in (1, 2, 3):
         model.access(bad)
         assert model.probe_count(bad) == expected
-    assert model.true_bit(bad) == 1
 
 
 def test_fault_model_names_a_duplicate_in_index_notation():

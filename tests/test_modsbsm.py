@@ -5,17 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.metrics import replay, totals
 from plattersim.oracle import verify_trace
 from plattersim.modsbsm import (
     PROBE_LIMIT,
+    FaultModel,
     decide_direction,
     execute,
 )
 from plattersim.schedulers import run_scheduler
-from plattersim.workload import MemoryRequest, Scenario, builtin_case
+from plattersim.workload import FaultSpec, MemoryRequest, Scenario, builtin_case
 
 
 def test_decide_direction_prefers_nearer_extreme():

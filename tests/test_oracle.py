@@ -5,9 +5,10 @@ import itertools
 
 import pytest
 
-from plattersim.faults import FaultSpec
+import reference_loops as ref
 from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.metrics import ServiceStep, replay, totals
+from plattersim.modsbsm import execute
 from plattersim.oracle import (
     MAX_ORACLE_REQUESTS,
     OracleSizeError,
@@ -16,6 +17,7 @@ from plattersim.oracle import (
 )
 from plattersim.schedulers import RETRY_LIMIT, run_scheduler
 from plattersim.workload import (
+    FaultSpec,
     GeneratorParams,
     MemoryRequest,
     Scenario,
@@ -136,7 +138,8 @@ def test_verify_trace_flags_missing_and_foreign_visits():
 
 def test_verify_trace_still_wants_probe_limit_visits_of_a_bad_address():
     # Requested 5 times, a bad address may be answered from the table after
-    # its third visit, but two visits are too few.
+    # its third visit, but two visits are too few.  Requested once, MODSBSM
+    # probes it three times: a trace that drops its second probe is refused.
     bad = PhysicalAddress(52, 1, 1)
     sc = Scenario(
         geometry=DiskGeometry(4, 200, 8),
@@ -150,6 +153,14 @@ def test_verify_trace_still_wants_probe_limit_visits_of_a_bad_address():
     ]
     thrice = replay(sc.geometry, sc.initial_head, [bad, bad, bad])
     assert verify_trace(sc, thrice) == []
+
+    once = _scenario((50, 1, 0), [(52, 1, 1), (60, 1, 0)])
+    once = dataclasses.replace(once, faults=(FaultSpec(bad, 0),))
+    visits = list(execute(once).visits)
+    second = [k for k, a in enumerate(visits) if a == bad][1]
+    dropped = replay(once.geometry, once.initial_head, visits[:second] + visits[second + 1 :])
+    expected = [f"coverage: {bad} requested 1 times, visited 2"]
+    assert verify_trace(once, dropped) == ref.verify_trace(once, dropped) == expected
 
 
 def test_verify_trace_caps_a_bad_address_at_the_baselines_tries():

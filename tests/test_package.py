@@ -1,6 +1,8 @@
-"""The package's public names, no unused imports in its modules, and no stale names in its docs."""
+"""The package's public names and the benchmark's reads of them, no unused
+imports in its modules, and no stale names in its docs."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -13,6 +15,34 @@ def test_every_exported_name_resolves_once():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(plattersim, name)]
     assert missing == []
+
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def test_every_name_the_benchmark_loads_resolves():
+    # bench/workloads.py's load_api binds plattersim and some of its modules
+    # with import_module and reads names off them; its getattr(..., None)
+    # probes are for names a version may lack, and are not reads.
+    tree = ast.parse(BENCH_WORKLOADS.read_text())
+    load_api = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "load_api")
+    modules, missing = {}, []
+    for node in ast.walk(load_api):
+        call = node.value if isinstance(node, ast.Assign) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "import_module":
+            name = call.args[0].value
+            if importlib.util.find_spec(name) is None:
+                missing.append(name)
+            else:
+                modules[node.targets[0].id] = importlib.import_module(name)
+    reads = [
+        (node.value.id, node.attr)
+        for node in ast.walk(load_api)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    ]
+    missing += [f"{module}.{name}" for module, name in reads if not hasattr(modules[module], name)]
+    assert missing == []
+    assert {"ps", "modsbsm"} <= modules.keys() and len(reads) > len(modules)
 
 
 def _unused_imports(source: str) -> list[str]:

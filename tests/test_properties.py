@@ -33,15 +33,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_loops as ref
-from plattersim.faults import FaultModel, FaultSpec
 from plattersim.geometry import DiskGeometry, PhysicalAddress, render_index
 from plattersim.metrics import replay, totals
-from plattersim.modsbsm import PROBE_LIMIT, execute
+from plattersim.modsbsm import PROBE_LIMIT, FaultModel, execute
 from plattersim.oracle import verify_trace
 from plattersim.schedulers import ALGORITHM_NAMES, BASELINE_NAMES, run_scheduler
 from plattersim.workload import (
     DIRECTION_HINT_NAMES,
     DIRECTIONS,
+    FaultSpec,
     MemoryRequest,
     Scenario,
     ScenarioError,
@@ -96,11 +96,14 @@ def scenarios(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
-def test_bad_addresses_probed_at_most_three_times_and_traces_verify(scenario):
+def test_requested_bad_addresses_probed_exactly_three_times_and_traces_verify(scenario):
     fault_model = FaultModel(scenario.faults)
     result = execute(scenario, fault_model)
+    requested_bad = {spec.address for spec in scenario.faults} & scenario.requested.keys()
     for spec in scenario.faults:
-        assert fault_model.probe_count(spec.address) <= PROBE_LIMIT
+        expected = PROBE_LIMIT if spec.address in requested_bad else 0
+        assert fault_model.probe_count(spec.address) == expected
+    assert set(result.resolved) == requested_bad
     requests = len(scenario.requests)
     ranks = list(range(requests))
     assert sorted(result.order) == ranks

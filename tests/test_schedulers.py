@@ -12,7 +12,6 @@ import time
 import pytest
 
 from plattersim.geometry import DiskGeometry, PhysicalAddress
-from plattersim.faults import FaultSpec
 from plattersim.oracle import verify_trace
 from plattersim.schedulers import (
     ALGORITHM_NAMES,
@@ -21,6 +20,7 @@ from plattersim.schedulers import (
     run_scheduler,
 )
 from plattersim.workload import (
+    FaultSpec,
     GeneratorParams,
     MemoryRequest,
     Scenario,

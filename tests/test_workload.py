@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plattersim import workload
-from plattersim.faults import FaultSpec
 from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.workload import (
     BUILTIN_CASE_IDS,
+    FaultSpec,
     GeneratorParams,
     MemoryRequest,
     Scenario,
