@@ -3,10 +3,10 @@
 An address names one sector on a multi-platter disk and is written
 ``<track>t<platter>p<sector>s``, e.g. ``15t1p2s`` for track 15, platter 1,
 sector 2.  Tracks and sectors are numbered from zero; platters are numbered
-from one.  Parsing is tolerant of leading zeros, rendering always produces
-the canonical form without them.  Bounds checking is a separate step from
-parsing so callers can attach their own context (file name, line number)
-to whichever one fails.
+from one.  Parsing takes ASCII digits and is tolerant of leading zeros;
+rendering always produces the canonical form without them.  Bounds
+checking is a separate step from parsing so callers can attach their own
+context (file name, line number) to whichever one fails.
 
 ``PhysicalAddress`` is a named tuple, so hashing, equality and ordering run
 in C.  It therefore compares equal to the plain tuple of its fields, and
@@ -21,7 +21,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
-_INDEX_RE = re.compile(r"(\d+)t(\d+)p(\d+)s")
+_INDEX_RE = re.compile(r"([0-9]+)t([0-9]+)p([0-9]+)s")
+_PREFIX = r"([0-9]+t([0-9]+p([0-9]+s)?)?)?"  # how far a bad index reads: a group per field closed
+_FIELDS = ("track", "platter", "sector", "trailing text after sector")
 
 
 class IndexSyntaxError(ValueError):
@@ -89,17 +91,8 @@ def parse_index(text: str) -> PhysicalAddress:
     s = text.strip()
     m = _INDEX_RE.fullmatch(s)
     if m is None:
-        if not re.match(r"\d+t", s):
-            field = "track"
-        elif not re.match(r"\d+t\d+p", s):
-            field = "platter"
-        elif not re.match(r"\d+t\d+p\d+s", s):
-            field = "sector"
-        else:
-            field = "trailing text after sector"
-        raise IndexSyntaxError(
-            f"bad index {text!r}: expected <track>t<platter>p<sector>s ({field})"
-        )
+        field = _FIELDS[3 - re.match(_PREFIX, s).groups().count(None)]
+        raise IndexSyntaxError(f"bad index {text!r}: expected <track>t<platter>p<sector>s ({field})")
     return PhysicalAddress(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 

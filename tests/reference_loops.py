@@ -394,7 +394,7 @@ def parse_scenario(text: str) -> Scenario:
                 if geometry is not None:
                     raise ValueError("geometry declared twice")
                 fields = dict(_parse_kv(tok) for tok in args)
-                if set(fields) != {"platters", "tracks", "sectors"}:
+                if len(args) != 3 or set(fields) != {"platters", "tracks", "sectors"}:
                     raise ValueError("geometry needs exactly platters=, tracks= and sectors=")
                 geometry = DiskGeometry(
                     num_platters=_parse_int(fields["platters"], "platters"),

@@ -20,7 +20,7 @@ loop parses them, into one address object per distinct address, and queues
 with requests off the disk or out of rank fail ``Scenario``'s column checks
 with the per-request loop's first error.  The last tests count Python-level
 calls to show that no layer makes one per visit, cold caches included, and
-that checking a queue makes none per request.
+that checking, parsing or rendering a queue makes none per request.
 """
 
 import dataclasses
@@ -613,3 +613,24 @@ def test_no_python_call_per_request_when_checking_a_queue():
         counts.append(_calls(Scenario, scenario.geometry, head, requests))
     small, large = counts
     assert small == large
+
+
+def _fifty_address_text(n):
+    """``n`` request lines over the same 50 addresses, with writes, comments and CRLF ends."""
+    pool = generate(DiskGeometry(4, 1000, 16), GeneratorParams(request_count=50, seed=3, bad_count=2))
+    requests = tuple(
+        MemoryRequest(pool.addresses[i % 50], "w" if i % 3 == 0 else "r", i) for i in range(n)
+    )
+    lines = render_scenario(dataclasses.replace(pool, requests=requests)).splitlines()
+    lines = [line + "  # note" if i % 7 == 0 else line for i, line in enumerate(lines)]
+    return "# fifty addresses\r\n" + "\r\n".join(lines) + "\r\n"
+
+
+def test_no_python_call_per_request_line_when_parsing_or_rendering():
+    texts = [_fifty_address_text(n) for n in (10**3, 10**4)]
+    for text in texts:
+        render_scenario(parse_scenario(text))  # warm any first-call caches
+    parse_counts = [_calls(parse_scenario, text) for text in texts]
+    render_counts = [_calls(render_scenario, parse_scenario(text)) for text in texts]
+    assert parse_counts[0] == parse_counts[1]
+    assert render_counts[0] == render_counts[1]

@@ -32,6 +32,9 @@ def test_parse_accepts_whitespace_and_leading_zeros():
         ("15t1p2", "sector"),
         ("15t1p2s9", "trailing"),
         ("", "track"),
+        ("\u0661t1p2s", "track"),
+        ("15t\u0661p2s", "platter"),
+        ("15t1p\u0662s", "sector"),
     ],
 )
 def test_parse_rejects_malformed(text, field):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_loops as ref
 from plattersim import workload
 from plattersim.geometry import DiskGeometry, PhysicalAddress, parse_index
 from plattersim.workload import (
@@ -218,6 +219,35 @@ def test_non_integer_geometry_field_carries_one_line_prefix():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario("geometry platters=1 tracks=x sectors=8\nhead 0t1p0s\n")
     assert str(exc.value) == "line 1: tracks must be an integer, got 'x'"
+
+
+BOTH_PARSERS = pytest.mark.parametrize("parse", [parse_scenario, ref.parse_scenario], ids=["package", "reference"])
+
+
+@BOTH_PARSERS
+def test_a_repeated_geometry_key_is_refused_at_its_line(parse):
+    text = "# a disk\ngeometry platters=1 platters=2 tracks=10 sectors=8\nhead 1t1p1s\nrequest 1t1p1s\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse(text)
+    assert str(exc.value) == "line 2: geometry needs exactly platters=, tracks= and sectors="
+    assert (exc.value.line, exc.value.entry) == (2, None)
+
+
+@BOTH_PARSERS
+def test_an_address_with_a_non_ascii_digit_is_refused(parse):
+    text = "geometry platters=1 tracks=10 sectors=8\nhead \u0661t1p1s\nrequest 1t1p1s\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse(text)
+    assert str(exc.value) == "line 2: bad index '\u0661t1p1s': expected <track>t<platter>p<sector>s (track)"
+
+
+@BOTH_PARSERS
+@pytest.mark.parametrize("numeral", ["1_0", "+1", "\u0661", "1" * 4301])
+def test_a_geometry_numeral_that_is_not_plain_ascii_digits_int_converts_is_refused(parse, numeral):
+    text = f"geometry platters={numeral} tracks=10 sectors=8\nhead 1t1p1s\nrequest 1t1p1s\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse(text)
+    assert str(exc.value) == f"line 1: platters must be an integer, got {numeral!r}"
 
 
 def test_empty_scenario_is_rejected_without_a_line():
